@@ -6,35 +6,30 @@ root:
 
 * **micro** — leaf-sweep throughput: the scalar plane sweep
   (:func:`repro.geometry.sweep.sweep_pairs`) versus the batch kernel
-  (:func:`repro.kernels.sweep_pairs_batch`) on pre-built column arrays,
-  at 1k/10k/100k rectangles per side and on both backends. Pre-built
-  arrays are the honest comparison: in the wired join the columns come
-  from :meth:`~repro.rtree.node.Node.rect_array`, whose cache amortises
-  construction across visits (build time is reported separately).
-  Every timed pair of runs is also checked for bit-identical pairs and
-  ``xy_tests``.
+  (:func:`repro.kernels.sweep_pairs_batch`) on pre-built numpy column
+  arrays, at 1k/10k/100k rectangles per side. Pre-built arrays are the
+  honest comparison: the columns of a real join are built once and
+  reused (build time is reported separately). Every timed pair of runs
+  is also checked for bit-identical pairs and ``xy_tests``.
 * **e2e** — the paper's Table-2 workload at quarter scale (the
   ``bench_parallel.py`` configuration) through all six facade methods,
-  in three interleaved modes: **batch** (``REPRO_KERNELS=1
-  REPRO_BATCH=1``, the columnar batch-first path), **kernels**
-  (``REPRO_KERNELS=1 REPRO_BATCH=0``, per-node kernel calls under
-  scalar control flow — PR 5's path) and **scalar** (``REPRO_KERNELS=0``).
-  Pair lists and CostSummary fields are asserted identical across all
-  three modes before any time is reported, and every mode's run
-  carries the engine's per-phase wall clock
+  on the two execution paths, interleaved: **batch** (the default fast
+  path — construction kernels, batch traversal plans, construction
+  replay) and **scalar** (``REPRO_KERNELS=0``, the reference). Pair
+  lists and CostSummary fields are asserted identical across both
+  paths before any time is reported, and every run carries the
+  engine's per-phase wall clock
   (:attr:`~repro.join.result.JoinResult.phase_walls`), so the output
-  separates kernel time from the control-flow overhead the batch layer
-  removes: per phase, ``kernels_s - batch_s`` is control flow closed
-  by batching, ``scalar_s - kernels_s`` is arithmetic closed by
-  vectorization.
+  shows per phase how much wall the fast path closed
+  (``scalar_s - batch_s``).
 
 Flags::
 
     --quick   smaller sizes, two methods, divisor-10 scale (CI smoke)
-    --check   exit non-zero unless the kernel path beats the scalar
-              path (micro, numpy backend) and the batched end-to-end
-              path clears the per-method floors (STJ >= 2.0x and
-              BFJ >= 3.0x full scale; STJ >= 1.5x quick)
+    --check   exit non-zero unless the sweep kernel beats the scalar
+              sweep (micro) and the batched end-to-end path clears the
+              per-method floors (STJ >= 2.0x and BFJ >= 3.0x full
+              scale; STJ >= 1.5x quick)
 
 Usage::
 
@@ -53,7 +48,7 @@ import time
 from repro.config import SystemConfig
 from repro.geometry.sweep import sweep_pairs
 from repro.join import spatial_join
-from repro.kernels import HAVE_NUMPY, RectArray, sweep_pairs_batch
+from repro.kernels import RectArray, sweep_pairs_batch
 from repro.metrics.counters import CpuCounters
 from repro.workload import ClusteredConfig, generate_clustered, generate_uniform
 from repro.workspace import Workspace
@@ -82,12 +77,8 @@ MICRO_TARGET = 3.0
 E2E_TARGETS = {"STJ": 2.0, "BFJ": 3.0}
 QUICK_E2E_TARGETS = {"STJ": 1.5}
 
-#: (label, REPRO_KERNELS, REPRO_BATCH) for the three e2e modes.
-E2E_MODES = (
-    ("batch", "1", "1"),
-    ("kernels", "1", "0"),
-    ("scalar", "0", "0"),
-)
+#: (label, REPRO_KERNELS) for the two e2e modes.
+E2E_MODES = (("batch", "1"), ("scalar", "0"))
 
 SUMMARY_FIELDS = (
     "match_read", "match_write", "construct_read", "construct_write",
@@ -119,7 +110,7 @@ def micro_inputs(n: int):
     return a, b
 
 
-def bench_micro_size(n: int, backends: tuple[str, ...]) -> dict:
+def bench_micro_size(n: int) -> dict:
     rects_a, rects_b = micro_inputs(n)
 
     def scalar():
@@ -136,41 +127,36 @@ def bench_micro_size(n: int, backends: tuple[str, ...]) -> dict:
     )
     ref_idx = [(ia, ib) for (ia, _), (ib, _) in ref]
 
-    entry: dict = {
+    t0 = time.perf_counter()
+    arr_a = RectArray.from_rects(rects_a, backend="numpy")
+    arr_b = RectArray.from_rects(rects_b, backend="numpy")
+    build_s = time.perf_counter() - t0
+
+    def batch():
+        counters = CpuCounters()
+        return sweep_pairs_batch(arr_a, arr_b, counters=counters), counters
+
+    (batch_pairs, batch_counters), batch_wall = timed(batch)
+    if batch_pairs != ref_idx:
+        raise SystemExit(f"micro n={n}: pair order differs")
+    if batch_counters.xy_tests != scalar_counters.xy_tests:
+        raise SystemExit(
+            f"micro n={n}: xy_tests "
+            f"{batch_counters.xy_tests} != {scalar_counters.xy_tests}"
+        )
+    speedup = scalar_wall / batch_wall
+    print(
+        f"micro n={n:>7,} scalar={scalar_wall * 1e3:8.1f}ms"
+        f"  kernel={batch_wall * 1e3:8.1f}ms  (x{speedup:5.2f})"
+    )
+    return {
         "rects_per_side": n,
         "pairs": len(scalar_pairs),
         "scalar_wall_s": round(scalar_wall, 6),
-        "backends": {},
+        "build_s": round(build_s, 6),
+        "sweep_wall_s": round(batch_wall, 6),
+        "speedup": round(speedup, 3),
     }
-    for backend in backends:
-        t0 = time.perf_counter()
-        arr_a = RectArray.from_rects(rects_a, backend=backend)
-        arr_b = RectArray.from_rects(rects_b, backend=backend)
-        build_s = time.perf_counter() - t0
-
-        def batch():
-            counters = CpuCounters()
-            return sweep_pairs_batch(arr_a, arr_b, counters=counters), counters
-
-        (batch_pairs, batch_counters), batch_wall = timed(batch)
-        if batch_pairs != ref_idx:
-            raise SystemExit(f"micro n={n} {backend}: pair order differs")
-        if batch_counters.xy_tests != scalar_counters.xy_tests:
-            raise SystemExit(
-                f"micro n={n} {backend}: xy_tests "
-                f"{batch_counters.xy_tests} != {scalar_counters.xy_tests}"
-            )
-        speedup = scalar_wall / batch_wall
-        entry["backends"][backend] = {
-            "build_s": round(build_s, 6),
-            "sweep_wall_s": round(batch_wall, 6),
-            "speedup": round(speedup, 3),
-        }
-        print(
-            f"micro n={n:>7,} {backend:6s} scalar={scalar_wall * 1e3:8.1f}ms"
-            f"  kernel={batch_wall * 1e3:8.1f}ms  (x{speedup:5.2f})"
-        )
-    return entry
 
 
 # --------------------------------------------------------------------- #
@@ -211,9 +197,8 @@ def bench_e2e_method(ws, tree_r, file_s, method: str, repeats: int) -> dict:
     outputs: dict[str, tuple] = {}
     phases: dict[str, dict] = {}
     for _ in range(repeats):
-        for label, kernels, batch in E2E_MODES:
+        for label, kernels in E2E_MODES:
             os.environ["REPRO_KERNELS"] = kernels
-            os.environ["REPRO_BATCH"] = batch
             t0 = time.perf_counter()
             out = run()
             elapsed = time.perf_counter() - t0
@@ -222,56 +207,43 @@ def bench_e2e_method(ws, tree_r, file_s, method: str, repeats: int) -> dict:
                 walls[label] = elapsed
                 phases[label] = out[2]
     os.environ["REPRO_KERNELS"] = "1"
-    os.environ["REPRO_BATCH"] = "1"
 
     pairs_batch, summary_batch, _ = outputs["batch"]
-    for label, _, _ in E2E_MODES[1:]:
-        pairs_other, summary_other, _ = outputs[label]
-        if pairs_batch != pairs_other:
+    pairs_scalar, summary_scalar, _ = outputs["scalar"]
+    if pairs_batch != pairs_scalar:
+        raise SystemExit(f"e2e {method}: batch pairs differ from scalar")
+    for field in SUMMARY_FIELDS:
+        if getattr(summary_batch, field) != getattr(summary_scalar, field):
             raise SystemExit(
-                f"e2e {method}: batch pairs differ from {label}"
+                f"e2e {method}: CostSummary.{field} differs "
+                f"(batch {getattr(summary_batch, field)} vs "
+                f"scalar {getattr(summary_scalar, field)})"
             )
-        for field in SUMMARY_FIELDS:
-            if getattr(summary_batch, field) != getattr(summary_other, field):
-                raise SystemExit(
-                    f"e2e {method}: CostSummary.{field} differs "
-                    f"(batch {getattr(summary_batch, field)} vs "
-                    f"{label} {getattr(summary_other, field)})"
-                )
 
     speedup = walls["scalar"] / walls["batch"]
-    kernels_speedup = walls["scalar"] / walls["kernels"]
     print(
         f"e2e {method:8s} scalar={walls['scalar']:8.3f}s  "
-        f"kernels={walls['kernels']:8.3f}s (x{kernels_speedup:5.2f})  "
         f"batch={walls['batch']:8.3f}s (x{speedup:5.2f})  "
         f"pairs={len(pairs_batch)}"
     )
-    # Per-phase kernel-vs-control-flow breakdown: what vectorization
-    # closed (scalar -> kernels) versus what batch-first control flow
-    # closed on top of it (kernels -> batch), phase by phase.
+    # Per-phase breakdown: the wall the fast path closed, phase by phase.
     phase_out: dict[str, dict] = {}
     for name in phases["scalar"]:
         row = {
             label: round(phases[label].get(name, 0.0), 6)
-            for label, _, _ in E2E_MODES
+            for label, _ in E2E_MODES
         }
-        row["vectorization_closed_s"] = round(
-            row["scalar"] - row["kernels"], 6
-        )
-        row["batching_closed_s"] = round(row["kernels"] - row["batch"], 6)
+        row["closed_s"] = round(row["scalar"] - row["batch"], 6)
         phase_out[name] = row
         print(
             f"      {name:10s} scalar={row['scalar']:8.3f}s  "
-            f"kernels={row['kernels']:8.3f}s  batch={row['batch']:8.3f}s"
+            f"batch={row['batch']:8.3f}s"
         )
     return {
         "pairs": len(pairs_batch),
         "wall_batch_s": round(walls["batch"], 6),
-        "wall_kernels_s": round(walls["kernels"], 6),
         "wall_scalar_s": round(walls["scalar"], 6),
         "speedup": round(speedup, 3),
-        "kernels_only_speedup": round(kernels_speedup, 3),
         "phases": phase_out,
     }
 
@@ -282,7 +254,6 @@ def bench_e2e_method(ws, tree_r, file_s, method: str, repeats: int) -> dict:
 
 
 def run(quick: bool) -> dict:
-    backends = ("numpy", "python") if HAVE_NUMPY else ("python",)
     sizes = QUICK_MICRO_SIZES if quick else MICRO_SIZES
     methods = QUICK_METHODS if quick else METHODS
     n_r, n_s = (QUICK_N_R, QUICK_N_S) if quick else (N_R, N_S)
@@ -290,7 +261,6 @@ def run(quick: bool) -> dict:
 
     out: dict = {
         "quick": quick,
-        "have_numpy": HAVE_NUMPY,
         "micro": {},
         "e2e": {
             "workload": {
@@ -306,7 +276,7 @@ def run(quick: bool) -> dict:
         },
     }
     for n in sizes:
-        out["micro"][str(n)] = bench_micro_size(n, backends)
+        out["micro"][str(n)] = bench_micro_size(n)
 
     ws, tree_r, file_s = build_env(n_r, n_s)
     # Warm caches and code paths once so the first measured method does
@@ -324,21 +294,15 @@ def run(quick: bool) -> dict:
 def verdicts(out: dict) -> dict:
     """Acceptance gates, evaluated on whatever tier actually ran."""
     targets = QUICK_E2E_TARGETS if out["quick"] else E2E_TARGETS
-    micro_10k = out["micro"].get("10000", {}).get("backends", {})
-    numpy_10k = micro_10k.get("numpy", {}).get("speedup")
+    micro_10k = out["micro"].get("10000", {}).get("speedup")
     kernel_never_slower = all(
-        be["speedup"] >= 1.0
-        for size in out["micro"].values()
-        for name, be in size["backends"].items()
-        if name == "numpy"
+        size["speedup"] >= 1.0 for size in out["micro"].values()
     )
     result = {
-        "micro_10k_numpy_speedup": numpy_10k,
+        "micro_10k_speedup": micro_10k,
         "micro_10k_target": MICRO_TARGET,
-        "micro_10k_ok": (
-            numpy_10k is None or numpy_10k >= MICRO_TARGET
-        ),
-        "numpy_kernel_never_slower": kernel_never_slower,
+        "micro_10k_ok": micro_10k is None or micro_10k >= MICRO_TARGET,
+        "kernel_never_slower": kernel_never_slower,
     }
     for method, target in targets.items():
         speedup = out["e2e"]["algorithms"].get(method, {}).get("speedup")
@@ -357,18 +321,14 @@ def main() -> int:
                         help="exit non-zero when the kernel path loses")
     args = parser.parse_args()
 
-    saved_env = {
-        name: os.environ.get(name)
-        for name in ("REPRO_KERNELS", "REPRO_BATCH")
-    }
+    saved = os.environ.get("REPRO_KERNELS")
     try:
         out = run(args.quick)
     finally:
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop("REPRO_KERNELS", None)
+        else:
+            os.environ["REPRO_KERNELS"] = saved
 
     out["verdicts"] = verdicts(out)
     target = (
@@ -380,7 +340,7 @@ def main() -> int:
 
     v = out["verdicts"]
     ok = all(value for key, value in v.items() if key.endswith("_ok")) and (
-        v["numpy_kernel_never_slower"]
+        v["kernel_never_slower"]
     )
     e2e_bits = ", ".join(
         f"e2e {key[4:-3].upper()}=x{v[f'{key[:-3]}_speedup']}"
@@ -390,7 +350,7 @@ def main() -> int:
     )
     print(
         ("PASS" if ok else "MISS")
-        + f": micro10k=x{v['micro_10k_numpy_speedup']}"
+        + f": micro10k=x{v['micro_10k_speedup']}"
         f" (target x{MICRO_TARGET}), " + e2e_bits
     )
     if args.check and not ok:

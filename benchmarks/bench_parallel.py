@@ -7,7 +7,7 @@ scaled by the quarter profile divisor to CI size) sequentially and
 through the persistent worker pool for STJ and BFJ, and writes
 ``BENCH_parallel.json`` next to the repo root.
 
-Three execution legs are timed per method:
+Two execution legs are timed per method:
 
 * ``cold`` — first pooled join on a freshly published dataset: pays
   column publication, worker attachment, and per-tile substrate builds.
@@ -15,9 +15,6 @@ Three execution legs are timed per method:
   cached, every tile substrate is warm, workers receive descriptors
   only. This is the regime the pool exists for (resident service,
   experiment sweeps).
-* ``legacy`` — the pre-pool executor (``REPRO_POOL=0``): fork per join,
-  pickled shard scatter, full rebuilds. Kept as the baseline the
-  refactor is measured against.
 
 Two speedup figures are reported per worker count:
 
@@ -182,30 +179,18 @@ def bench_method(ws, tree_r, file_s, method: str, workers_sweep) -> dict:
         overhead_s = max(0.0, warm_s - sum(tile_walls))
         modeled = overhead_s + lpt_makespan(tile_walls, workers)
 
-        os.environ["REPRO_POOL"] = "0"
-        try:
-            legacy, legacy_s = timed(lambda: join(**pooled_kw), repeats=1)
-        finally:
-            del os.environ["REPRO_POOL"]
-        if legacy.pair_set() != sequential.pair_set():
-            raise SystemExit(
-                f"{method} workers={workers}: legacy answer differs"
-            )
-
         entry["workers"][str(workers)] = {
             "cold_s": round(cold_s, 6),
             "warm_s": round(warm_s, 6),
-            "legacy_s": round(legacy_s, 6),
             "overhead_s": round(overhead_s, 6),
             "modeled_wall_s": round(modeled, 6),
             "speedup": round(seq_wall / modeled, 3),
             "speedup_elapsed": round(seq_wall / warm_s, 3),
-            "speedup_vs_legacy": round(legacy_s / warm_s, 3),
         }
         print(
             f"{method:8s} workers={workers}  seq={seq_wall * 1e3:7.1f}ms  "
             f"cold={cold_s * 1e3:7.1f}ms  warm={warm_s * 1e3:7.1f}ms "
-            f"(x{seq_wall / warm_s:4.2f})  legacy={legacy_s * 1e3:7.1f}ms  "
+            f"(x{seq_wall / warm_s:4.2f})  "
             f"modeled={modeled * 1e3:7.1f}ms (x{seq_wall / modeled:4.2f})"
         )
     return entry

@@ -333,17 +333,18 @@ def spatial_join(
     single-substrate sequential path, byte-identical to before.
     ``parallel_seed`` feeds the stable per-partition seed derivation.
 
-    Parallel runs default to the **persistent worker pool**
+    Parallel runs use the **persistent worker pool**
     (:mod:`repro.parallel`): inputs are published once into
     shared-memory columns and workers stay warm across joins on the
-    same data — ``REPRO_POOL=0`` restores the legacy per-join pool.
+    same data. A join the pool does not take runs in-process.
     ``parallel_guard`` controls the planner guard, which predicts the
     elapsed speedup from a deterministic cost model and falls back to
-    in-process execution when parallelism would lose (``None`` defers
-    to ``REPRO_PARALLEL_GUARD``, default on); the decision lands on
-    ``result.parallel_decision``. ``parallel_start_method`` pins the
-    multiprocessing start method (default: ``REPRO_POOL_START_METHOD``,
-    else fork where available, else the platform default).
+    in-process execution when parallelism would lose (``None``, the
+    default, leaves it on; ``False`` forces the pool); the decision and
+    its reason land on ``result.parallel_decision``.
+    ``parallel_start_method`` pins the multiprocessing start method
+    (default: ``REPRO_POOL_START_METHOD``, else fork where available,
+    else the platform default).
 
     ``sanitize`` arms the runtime invariant sanitizer
     (:mod:`repro.analysis.sanitizer`): ``True`` forces it on, ``False``

@@ -16,13 +16,12 @@ buffer so the cost model observes the exact scalar behavior:
 * the same pairs in the same emission order.
 
 What the replay *skips* is the per-node Python work between accounted
-operations — Rect allocation, per-entry predicate loops, one kernel
-dispatch per node — which is precisely the control-flow overhead the
-Amdahl gap consists of. Dispatch lives with the callers
-(:mod:`repro.join.matching`, :mod:`repro.join.bfj`): the batch path
-runs only when ``REPRO_KERNELS`` and ``REPRO_BATCH`` are both on and
-the numpy backend is live, and either switch restores the scalar
-reference unchanged.
+operations — Rect allocation, per-entry predicate loops, per-node
+dispatch — which is precisely the control-flow overhead the Amdahl gap
+consists of. Dispatch lives with the callers
+(:mod:`repro.join.matching`, :mod:`repro.join.bfj`): the batch path is
+the default, and ``REPRO_KERNELS=0`` restores the scalar reference
+unchanged.
 """
 
 from __future__ import annotations
@@ -30,27 +29,17 @@ from __future__ import annotations
 import zlib
 from typing import Any
 
-from ..kernels.backend import np
+import numpy as np
+
 from ..kernels.node_store import ColumnTree, build_match_plans, build_window_plans
 from ..metrics import MetricsCollector
 from .result import JoinPair
 
 __all__ = [
-    "batch_traversal_available",
     "column_tree_of",
     "match_trees_batch",
     "window_join_batch",
 ]
-
-
-def batch_traversal_available() -> bool:
-    """Whether the batch path *can* run: live numpy backend required.
-
-    (``HAVE_NUMPY`` is not enough — ``REPRO_KERNELS_BACKEND=python``
-    pins the kernels to list columns, and the plan builders are numpy
-    only.) The runtime toggles are checked separately by callers.
-    """
-    return np is not None
 
 
 # --------------------------------------------------------------------- #

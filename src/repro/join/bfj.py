@@ -16,29 +16,28 @@ when STJ construction fails irrecoverably.
 
 from __future__ import annotations
 
-from ..kernels import batch_enabled, kernels_enabled
+from ..kernels import kernels_enabled
 from ..metrics import MetricsCollector, Phase
 from ..metrics.tracing import JoinTrace
 from ..rtree import RTree
 from ..storage import DataFile
-from .batch import batch_traversal_available, window_join_batch
+from .batch import window_join_batch
 from .engine import ExecutionContext, JoinPhase, JoinPipeline
 from .result import JoinResult
 
 
 def _match(ctx: ExecutionContext) -> None:
-    # One kernel-toggle read for the whole scan; BFJ issues thousands of
-    # window queries and the per-query environment lookup is measurable.
-    use_kernels = kernels_enabled()
-    if (use_kernels and batch_enabled() and batch_traversal_available()):
+    if kernels_enabled():
         # All window queries descend the columnar snapshot together;
         # the replay fetches the same pages in the same order and emits
         # identical pairs (see repro.join.batch).
         ctx.state["pairs"] = window_join_batch(ctx.data_s, ctx.tree_r)
         return
+    # The scalar reference: one window query per D_S rectangle. Passing
+    # the toggle spares thousands of per-query environment reads.
     pairs = []
     for rect, oid_s in ctx.data_s.scan():
-        for oid_r in ctx.tree_r.window_query(rect, use_kernels):
+        for oid_r in ctx.tree_r.window_query(rect, use_kernels=False):
             pairs.append((oid_s, oid_r))
     ctx.state["pairs"] = pairs
 

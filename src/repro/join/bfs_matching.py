@@ -24,7 +24,6 @@ from operator import attrgetter
 
 from ..config import SystemConfig
 from ..geometry import sweep_pairs
-from ..kernels import intersect_indices, kernels_enabled, sweep_pairs_batch
 from ..metrics import MetricsCollector
 from ..storage import Page, PageKind
 from ..storage.disk import DiskSimulator
@@ -105,14 +104,14 @@ def match_trees_bfs(
     ``queue_budget_pairs`` bounds the per-level pair queue held in
     memory; ``None`` means unbounded (no spilling). Results and CPU/XY
     accounting match the depth-first matcher; the extra disk traffic of
-    spilling is the cost of the traversal order.
+    spilling is the cost of the traversal order. Only the ablation runs
+    this matcher, so it has just the scalar implementation.
     """
     cpu = metrics.cpu if metrics is not None else None
     config = tree_a.config
     disk = tree_a.buffer.disk
-    # One env read per run, and bound-method hoists for the per-pair
-    # attribute chains (tree -> buffer -> unpin), as in the DFS matcher.
-    use_kernels = kernels_enabled()
+    # Bound-method hoists for the per-pair attribute chains
+    # (tree -> buffer -> unpin), as in the DFS matcher.
     read_a = tree_a.read_node
     read_b = tree_b.read_node
     unpin_a = tree_a.buffer.unpin
@@ -135,22 +134,11 @@ def match_trees_bfs(
                 node_b = read_b(page_b, pin=True)
                 try:
                     if node_a.is_leaf and node_b.is_leaf:
-                        if use_kernels:
-                            idx_hits = sweep_pairs_batch(
-                                node_a.rect_array(), node_b.rect_array(),
-                                counters=cpu,
-                            )
-                            entries_a, entries_b = node_a.entries, node_b.entries
-                            results.extend(
-                                (entries_a[i].ref, entries_b[j].ref)
-                                for i, j in idx_hits
-                            )
-                        else:
-                            hits = sweep_pairs(
-                                node_a.entries, node_b.entries,
-                                rect_of=_MBR_OF, counters=cpu,
-                            )
-                            results.extend((ea.ref, eb.ref) for ea, eb in hits)
+                        hits = sweep_pairs(
+                            node_a.entries, node_b.entries,
+                            rect_of=_MBR_OF, counters=cpu,
+                        )
+                        results.extend((ea.ref, eb.ref) for ea, eb in hits)
                     elif node_a.is_leaf or node_b.is_leaf:
                         leaf, internal, leaf_is_a = (
                             (node_a, node_b, True) if node_a.is_leaf
@@ -159,23 +147,12 @@ def match_trees_bfs(
                         window = leaf.cached_mbr()
                         if cpu is not None:
                             cpu.xy_tests += 2 * len(internal.entries)
-                        if use_kernels:
-                            entries = internal.entries
-                            for i in intersect_indices(
-                                internal.rect_array(), window
-                            ):
-                                ref = entries[i].ref
+                        for e in internal.entries:
+                            if e.mbr.intersects(window):
                                 nxt.append(
-                                    (page_a, ref) if leaf_is_a
-                                    else (ref, page_b)
+                                    (page_a, e.ref) if leaf_is_a
+                                    else (e.ref, page_b)
                                 )
-                        else:
-                            for e in internal.entries:
-                                if e.mbr.intersects(window):
-                                    nxt.append(
-                                        (page_a, e.ref) if leaf_is_a
-                                        else (e.ref, page_b)
-                                    )
                     else:
                         box = node_a.cached_mbr().intersection(
                             node_b.cached_mbr()
@@ -186,32 +163,16 @@ def match_trees_bfs(
                             cpu.xy_tests += 2 * (
                                 len(node_a.entries) + len(node_b.entries)
                             )
-                        if use_kernels:
-                            idx_a = intersect_indices(node_a.rect_array(), box)
-                            idx_b = intersect_indices(node_b.rect_array(), box)
-                            if len(idx_a) and len(idx_b):
-                                entries_a = node_a.entries
-                                entries_b = node_b.entries
-                                for i, j in sweep_pairs_batch(
-                                    node_a.rect_array().take(idx_a),
-                                    node_b.rect_array().take(idx_b),
-                                    counters=cpu,
-                                ):
-                                    nxt.append((
-                                        entries_a[idx_a[i]].ref,
-                                        entries_b[idx_b[j]].ref,
-                                    ))
-                        else:
-                            cand_a = [e for e in node_a.entries
-                                      if e.mbr.intersects(box)]
-                            cand_b = [e for e in node_b.entries
-                                      if e.mbr.intersects(box)]
-                            if cand_a and cand_b:
-                                for ea, eb in sweep_pairs(
-                                    cand_a, cand_b, rect_of=_MBR_OF,
-                                    counters=cpu,
-                                ):
-                                    nxt.append((ea.ref, eb.ref))
+                        cand_a = [e for e in node_a.entries
+                                  if e.mbr.intersects(box)]
+                        cand_b = [e for e in node_b.entries
+                                  if e.mbr.intersects(box)]
+                        if cand_a and cand_b:
+                            for ea, eb in sweep_pairs(
+                                cand_a, cand_b, rect_of=_MBR_OF,
+                                counters=cpu,
+                            ):
+                                nxt.append((ea.ref, eb.ref))
                 finally:
                     unpin_b(page_b)
             finally:

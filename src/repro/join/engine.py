@@ -25,8 +25,6 @@ parallel matching all wrap the executor, not six drivers.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -324,11 +322,12 @@ class JoinPipeline:
 
 @dataclass(frozen=True)
 class _PartitionTask:
-    """Everything one worker needs to run one tile's join.
+    """Everything one tile's join needs.
 
-    Plain data only — it crosses a process boundary. The worker builds
-    its own :class:`~repro.workspace.Workspace` from the shipped shard
-    entries, so no simulated disk, buffer, or tree ever needs pickling.
+    Built in-process from materialized shards, or inside a pool worker
+    from a :class:`~repro.parallel.TileJob` and the shared columns.
+    Either way the tile builds its own :class:`~repro.workspace.Workspace`
+    from the entries, so no simulated disk, buffer, or tree is shared.
     """
 
     index: int
@@ -488,10 +487,10 @@ def join_on_substrate(
 def run_partition_task(task: _PartitionTask) -> _PartitionOutcome:
     """Execute one tile's join in a fresh private substrate.
 
-    Module-level so a spawned pool can import it by reference; the
-    persistent pool's workers use the two halves
-    (:func:`build_partition_substrate` / :func:`join_on_substrate`)
-    separately so the substrate can stay warm between joins.
+    The in-process route; the persistent pool's workers use the two
+    halves (:func:`build_partition_substrate` /
+    :func:`join_on_substrate`) separately so the substrate can stay warm
+    between joins.
     """
     return join_on_substrate(task, build_partition_substrate(task))
 
@@ -505,10 +504,8 @@ def run_partition_task(task: _PartitionTask) -> _PartitionOutcome:
 # does not consult the host's core count): its question is "is this
 # workload big enough to cover the orchestration overhead", which is a
 # property of the join, not of today's machine.
-_GUARD_SPAWN_UNITS = 4000.0        # legacy mode: fork/spawn, per worker
-_GUARD_SHIP_UNITS = 0.3            # legacy mode: pickling, per shipped entry
-_GUARD_POOL_DISPATCH_UNITS = 400.0  # pooled mode: per-join round trip
-_GUARD_POOL_TILE_UNITS = 80.0      # pooled mode: per tile message
+_GUARD_POOL_DISPATCH_UNITS = 400.0  # per-join round trip
+_GUARD_POOL_TILE_UNITS = 80.0      # per tile message
 
 
 def _lpt_makespan(costs: list[float], workers: int) -> float:
@@ -522,20 +519,15 @@ def _lpt_makespan(costs: list[float], workers: int) -> float:
     return max(loads)
 
 
-def _pool_enabled() -> bool:
-    """Persistent-pool mode switch: ``REPRO_POOL=0`` restores the legacy
-    per-join fork pool (read per call so tests can flip it)."""
-    return os.environ.get("REPRO_POOL", "1").strip() != "0"
-
-
 @dataclass
 class _ParallelPlan:
     """One parallel join's resolved inputs, in either representation.
 
-    ``shards`` (materialized entries) for the legacy route, or
     ``dataset``/``grid``/``descriptors`` (shared columns plus row
-    indices) for the pooled route. ``tile_counts`` and ``seq_units``
-    feed the planner guard either way.
+    indices) when the inputs were published for the pool, or ``shards``
+    (materialized entries) when they were not — ``unpooled`` then says
+    why, and the join runs in-process. ``tile_counts`` and
+    ``seq_units`` feed the planner guard either way.
     """
 
     partitioner: Any
@@ -546,6 +538,7 @@ class _ParallelPlan:
     dataset: Any | None = None
     grid: Any | None = None
     descriptors: list[Any] | None = None
+    unpooled: str = ""
 
 
 class ParallelExecutor:
@@ -561,19 +554,16 @@ class ParallelExecutor:
     one :class:`~repro.join.result.JoinResult` whose accounting is the
     exact sum of the per-partition counters.
 
-    Execution picks between three routes, recorded on the result as a
+    Execution picks between two routes, recorded on the result as a
     :class:`~repro.join.result.ParallelDecision`:
 
     * **pooled** (default for ``workers > 1``): the persistent
       :class:`~repro.parallel.WorkerPool` — inputs published once into
       shared-memory columns, tile *descriptors* shipped over pipes,
-      per-tile substrates kept warm between joins. ``REPRO_POOL=0``
-      disables it.
-    * **legacy**: a throwaway ``multiprocessing.Pool`` per join, whole
-      shard entry lists pickled to each worker. Also the automatic
-      fallback when inputs cannot be published (oids beyond int64).
-    * **in-process** (``workers=1``, or the planner guard predicting a
-      slowdown): the same per-tile plan run inline, no pool — the
+      per-tile substrates kept warm between joins.
+    * **in-process** (``workers=1``, the planner guard predicting a
+      slowdown, or inputs the pool cannot publish — oids beyond
+      int64): the same per-tile plan run inline, no pool — the
       differential harness uses this to separate partitioning effects
       from multiprocessing effects.
     """
@@ -602,7 +592,8 @@ class ParallelExecutor:
         self.seed = seed
         self.label = label or method
         self.start_method = start_method
-        self.guard = guard
+        # The planner guard is on unless the caller switches it off.
+        self.guard = True if guard is None else guard
 
     # ----------------------------------------------------------------- #
 
@@ -661,10 +652,15 @@ class ParallelExecutor:
         # on a warm dataset cache hit; skipping unaccounted work cannot
         # perturb a counter.)
         with span_cm, metrics.phase(Phase.SETUP):
+            unpooled = "guard: input too small to pool"
             if self._pool_wanted(data_s, tree_r, data_r):
                 plan = self._plan_pooled(data_s, tree_r, data_r)
                 if plan is not None:
                     return plan
+                unpooled = (
+                    "inputs cannot be published to the pool "
+                    "(oids beyond int64)"
+                )
             entries_s = data_s.read_all_unaccounted()
             entries_r = (
                 data_r.read_all_unaccounted() if data_r is not None
@@ -672,12 +668,7 @@ class ParallelExecutor:
             )
             universe = joint_universe(entries_r, entries_s)
             if universe is None:
-                self._partitioner = None
-                self._shards = []
-                return _ParallelPlan(
-                    partitioner=None, pooled=False, seq_units=0,
-                    tile_counts=[], shards=[],
-                )
+                return self._empty_plan()
             partitioner = GridPartitioner.for_tile_count(
                 universe, self.partitions
             )
@@ -692,7 +683,16 @@ class ParallelExecutor:
                     (len(s.entries_r), len(s.entries_s)) for s in shards
                 ],
                 shards=shards,
+                unpooled=unpooled,
             )
+
+    def _empty_plan(self) -> _ParallelPlan:
+        self._partitioner = None
+        self._shards = []
+        return _ParallelPlan(
+            partitioner=None, pooled=False, seq_units=0, tile_counts=[],
+            shards=[],
+        )
 
     def _pool_wanted(
         self, data_s: Any, tree_r: Any, data_r: Any | None
@@ -704,9 +704,9 @@ class ParallelExecutor:
         split could not beat sequential, don't publish shared columns
         for a join the real guard would run inline anyway.
         """
-        if self.workers <= 1 or not _pool_enabled():
+        if self.workers <= 1:
             return False
-        if not self._guard_enabled():
+        if not self.guard:
             return True
         try:
             n = len(data_s) + (
@@ -726,13 +726,13 @@ class ParallelExecutor:
     def _plan_pooled(
         self, data_s: Any, tree_r: Any, data_r: Any | None
     ) -> _ParallelPlan | None:
-        """The shared-memory plan, or ``None`` to fall back to legacy.
+        """The shared-memory plan, or ``None`` when publication fails.
 
         A warm :class:`~repro.parallel.DatasetCache` hit skips entry
         extraction *and* the scatter pass; a miss publishes the columns
         (once) and builds descriptor shards. Publication can refuse a
-        dataset (oids beyond int64) — that degrades to the legacy
-        pickled-entries route, never to a wrong answer.
+        dataset (oids beyond int64) — that degrades to the in-process
+        route, never to a wrong answer.
         """
         from ..parallel import default_dataset_cache
 
@@ -745,7 +745,7 @@ class ParallelExecutor:
                 else list(tree_r.all_objects())
             )
             if joint_universe(entries_r, entries_s) is None:
-                return None
+                return self._empty_plan()
             try:
                 dataset = cache.publish(
                     data_s, tree_r, data_r, entries_r, entries_s
@@ -769,25 +769,14 @@ class ParallelExecutor:
     # The planner guard
     # ----------------------------------------------------------------- #
 
-    def _guard_enabled(self) -> bool:
-        if self.guard is not None:
-            return self.guard
-        return os.environ.get("REPRO_PARALLEL_GUARD", "1").strip() != "0"
-
     def _predict_speedup(self, plan: _ParallelPlan) -> float:
         tile_units = [float(nr + ns) for nr, ns in plan.tile_counts]
         workers = min(self.workers, len(tile_units))
         makespan = _lpt_makespan(tile_units, workers)
-        if plan.pooled:
-            overhead = (
-                _GUARD_POOL_DISPATCH_UNITS
-                + _GUARD_POOL_TILE_UNITS * len(tile_units)
-            )
-        else:
-            overhead = (
-                _GUARD_SPAWN_UNITS * workers
-                + _GUARD_SHIP_UNITS * sum(tile_units)
-            )
+        overhead = (
+            _GUARD_POOL_DISPATCH_UNITS
+            + _GUARD_POOL_TILE_UNITS * len(tile_units)
+        )
         parallel = overhead + makespan
         return plan.seq_units / parallel if parallel > 0 else 0.0
 
@@ -809,21 +798,24 @@ class ParallelExecutor:
                 "single productive tile",
             )
         predicted = self._predict_speedup(plan)
-        if self._guard_enabled() and predicted < 1.0:
+        if self.guard and predicted < 1.0:
             return ParallelDecision(
                 self.workers, 1, self.partitions, False, predicted,
                 f"guard: predicted speedup {predicted:.2f} < 1.0; "
                 f"running in-process",
             )
+        if not plan.pooled:
+            return ParallelDecision(
+                self.workers, 1, self.partitions, False, predicted,
+                f"{plan.unpooled}; running in-process",
+            )
         return ParallelDecision(
-            self.workers, self.workers, self.partitions, plan.pooled,
-            predicted,
-            "persistent worker pool" if plan.pooled
-            else "legacy per-join pool",
+            self.workers, self.workers, self.partitions, True, predicted,
+            "persistent worker pool",
         )
 
     # ----------------------------------------------------------------- #
-    # Execution: pooled, legacy pool, or in-process
+    # Execution: pooled or in-process
     # ----------------------------------------------------------------- #
 
     def _run_plan(
@@ -834,40 +826,35 @@ class ParallelExecutor:
         recovery: RecoveryPolicy | None,
         sanitize: bool | None,
     ) -> list[_PartitionOutcome]:
-        if not plan.tile_counts:
-            return []
-        if decision.effective_workers == 1 or len(plan.tile_counts) == 1:
+        if not decision.pooled:
             tasks = self._materialize_tasks(
                 plan, want_trace, recovery, sanitize,
             )
             return [run_partition_task(task) for task in tasks]
-        if decision.pooled:
-            from ..parallel import TileJob, forwarded_env, get_default_pool
+        from ..parallel import TileJob, forwarded_env, get_default_pool
 
-            dataset = plan.dataset
-            jobs = [
-                TileJob(
-                    dataset_key=dataset.key,
-                    version=dataset.version,
-                    grid=plan.grid,
-                    tile=d.tile.index,
-                    n_r=d.n_r,
-                    n_s=d.n_s,
-                    method=self.method,
-                    config=self.config,
-                    options=self.options,
-                    seed=derive_seed(self.seed, "partition", d.tile.index),
-                    want_trace=want_trace,
-                    recovery=recovery,
-                    sanitize=sanitize,
-                    env=forwarded_env(),
-                )
-                for d in plan.descriptors
-            ]
-            pool = get_default_pool(self.workers, self.start_method)
-            return pool.run_join(dataset, jobs)
-        tasks = self._materialize_tasks(plan, want_trace, recovery, sanitize)
-        return self._execute(tasks)
+        dataset = plan.dataset
+        jobs = [
+            TileJob(
+                dataset_key=dataset.key,
+                version=dataset.version,
+                grid=plan.grid,
+                tile=d.tile.index,
+                n_r=d.n_r,
+                n_s=d.n_s,
+                method=self.method,
+                config=self.config,
+                options=self.options,
+                seed=derive_seed(self.seed, "partition", d.tile.index),
+                want_trace=want_trace,
+                recovery=recovery,
+                sanitize=sanitize,
+                env=forwarded_env(),
+            )
+            for d in plan.descriptors
+        ]
+        pool = get_default_pool(self.workers, self.start_method)
+        return pool.run_join(dataset, jobs)
 
     def _materialize_tasks(
         self,
@@ -913,27 +900,6 @@ class ParallelExecutor:
             )
             for index, entries_r, entries_s in sliced
         ]
-
-    def _execute(
-        self, tasks: list[_PartitionTask]
-    ) -> list[_PartitionOutcome]:
-        if not tasks:
-            return []
-        if self.workers == 1 or len(tasks) == 1:
-            return [run_partition_task(task) for task in tasks]
-        ctx = self._pool_context()
-        processes = min(self.workers, len(tasks))
-        with ctx.Pool(processes=processes) as pool:
-            return pool.map(run_partition_task, tasks)
-
-    @staticmethod
-    def _pool_context():
-        """The legacy per-join pool's context: the same resolved start
-        method the persistent pool uses (``REPRO_POOL_START_METHOD``,
-        else fork where available, else the platform default)."""
-        from ..parallel.pool import resolve_start_method
-
-        return multiprocessing.get_context(resolve_start_method())
 
     # ----------------------------------------------------------------- #
     # Merge: pairs, counters, spans

@@ -35,15 +35,10 @@ from operator import attrgetter
 from typing import Any
 
 from ..geometry import Rect, sweep_pairs
-from ..kernels import (
-    batch_enabled,
-    intersect_indices,
-    kernels_enabled,
-    sweep_pairs_batch,
-)
+from ..kernels import kernels_enabled
 from ..metrics import MetricsCollector
 from ..rtree.node import Node
-from .batch import batch_traversal_available, match_trees_batch
+from .batch import match_trees_batch
 from .result import JoinPair
 
 #: Entry -> MBR adapter, hoisted out of the per-pair sweep calls.
@@ -63,18 +58,15 @@ def match_trees(
     :class:`~repro.seeded.SeededTree` qualify. Either tree may be
     unbalanced.
 
-    With the kernels and the batch layer both enabled (and the numpy
-    backend live), the whole pair tree is planned level-at-a-time over
+    By default the whole pair tree is planned level-at-a-time over
     columnar snapshots and replayed through the buffer —
     :func:`~repro.join.batch.match_trees_batch` — with bit-identical
-    pairs, counters and I/O. ``REPRO_KERNELS=0`` or ``REPRO_BATCH=0``
-    restores the scalar recursion below.
+    pairs, counters and I/O. ``REPRO_KERNELS=0`` runs the scalar
+    recursion below, the reference the batch path is tested against.
     """
-    if (kernels_enabled() and batch_enabled()
-            and batch_traversal_available()):
+    if kernels_enabled():
         return match_trees_batch(tree_a, tree_b, metrics)
-    matcher = _TreeMatcher(tree_a, tree_b, metrics)
-    return matcher.run()
+    return _TreeMatcher(tree_a, tree_b, metrics).run()
 
 
 class _TreeMatcher:
@@ -87,8 +79,6 @@ class _TreeMatcher:
         self.metrics = metrics
         self.cpu = metrics.cpu if metrics is not None else None
         self.results: list[JoinPair] = []
-        # One env read per matching run, not per node pair.
-        self.use_kernels = kernels_enabled()
         # Bound-method hoists: _match runs once per overlapping node
         # pair, and the attribute chains (tree -> buffer -> unpin) cost
         # more than the call they set up.
@@ -127,15 +117,6 @@ class _TreeMatcher:
 
     def _match_leaves(self, node_a: Node, node_b: Node) -> None:
         """Report overlapping (oid, oid) pairs via plane sweep."""
-        if self.use_kernels:
-            hits = sweep_pairs_batch(
-                node_a.rect_array(), node_b.rect_array(), counters=self.cpu,
-            )
-            entries_a, entries_b = node_a.entries, node_b.entries
-            self.results.extend(
-                (entries_a[i].ref, entries_b[j].ref) for i, j in hits
-            )
-            return
         pairs = sweep_pairs(
             node_a.entries, node_b.entries,
             rect_of=_MBR_OF, counters=self.cpu,
@@ -146,27 +127,6 @@ class _TreeMatcher:
         """Pair up overlapping children, restricted to the intersection box."""
         box = node_a.cached_mbr().intersection(node_b.cached_mbr())
         if box is None:
-            return
-        if self.use_kernels:
-            # Same restrict-then-sweep plan on the cached columns; the
-            # restriction charge stays two XY tests per child, emptiness
-            # still short-circuits after both sides were charged.
-            if self.cpu is not None:
-                self.cpu.xy_tests += 2 * (
-                    len(node_a.entries) + len(node_b.entries)
-                )
-            idx_a = intersect_indices(node_a.rect_array(), box)
-            idx_b = intersect_indices(node_b.rect_array(), box)
-            if len(idx_a) == 0 or len(idx_b) == 0:
-                return
-            hits = sweep_pairs_batch(
-                node_a.rect_array().take(idx_a),
-                node_b.rect_array().take(idx_b),
-                counters=self.cpu,
-            )
-            entries_a, entries_b = node_a.entries, node_b.entries
-            for i, j in hits:
-                self._match(entries_a[idx_a[i]].ref, entries_b[idx_b[j]].ref)
             return
         cand_a = self._restrict(node_a, box)
         cand_b = self._restrict(node_b, box)
@@ -191,15 +151,6 @@ class _TreeMatcher:
         window = leaf.cached_mbr()
         if self.cpu is not None:
             self.cpu.xy_tests += 2 * len(internal.entries)
-        if self.use_kernels:
-            entries = internal.entries
-            for i in intersect_indices(internal.rect_array(), window):
-                ref = entries[i].ref
-                if leaf_side == "a":
-                    self._match(leaf_page, ref)
-                else:
-                    self._match(ref, leaf_page)
-            return
         for e in internal.entries:
             if e.mbr.intersects(window):
                 if leaf_side == "a":

@@ -16,12 +16,11 @@ class ParallelDecision:
     ``predicted_speedup`` is the planner guard's deterministic
     entry-unit estimate of elapsed speedup versus a sequential run
     (``None`` when the guard never modelled the join — single worker,
-    single tile, or empty input). When the prediction lands below 1.0
-    the guard falls back to in-process execution: ``effective_workers``
+    single tile, or empty input). A join runs either on the persistent
+    worker pool (``pooled``) or in-process: when the prediction lands
+    below 1.0, or the pool cannot take the inputs, ``effective_workers``
     drops to 1 while ``requested_workers`` keeps the caller's ask, and
-    ``reason`` says why. ``pooled`` records whether the persistent
-    worker pool actually ran the join (as opposed to the legacy
-    per-join pool or the in-process path).
+    ``reason`` says why it ran in-process.
     """
 
     requested_workers: int
@@ -69,8 +68,7 @@ class JoinResult:
 
     ``parallel_decision`` is likewise parallel-only: the
     :class:`ParallelDecision` recording what the planner guard
-    predicted and which execution mode (pooled, legacy pool, or
-    in-process fallback) actually ran.
+    predicted and which route (pooled or in-process) actually ran.
     """
 
     pairs: list[JoinPair] = field(default_factory=list)

@@ -8,9 +8,9 @@ instead of per-object attribute chains.
 
 Layout
 ------
-* :mod:`~repro.kernels.backend` — one-time backend selection (numpy
-  when importable, pure-Python list columns otherwise) and the
-  ``REPRO_KERNELS`` runtime toggle.
+* :mod:`~repro.kernels.backend` — the ``REPRO_KERNELS`` switch between
+  the scalar reference and the fast path (these kernels, batch
+  traversal plans and construction replay).
 * :mod:`~repro.kernels.rect_array` — :class:`RectArray`, the parallel
   ``xlo/ylo/xhi/yhi`` coordinate columns, with a small-array heuristic
   that keeps node-sized arrays on list columns where numpy's per-call
@@ -22,8 +22,7 @@ Layout
 * :mod:`~repro.kernels.node_store` — :class:`ColumnTree`, the
   level-order struct-of-arrays snapshot of a built tree, plus the
   batch traversal plan builders (whole-frontier window descent,
-  level-at-a-time tree matching, segmented multi-node plane sweep)
-  behind the ``REPRO_BATCH`` toggle.
+  level-at-a-time tree matching, segmented multi-node plane sweep).
 
 The kernels are *pure*: no buffered I/O, no metrics phases, no module
 state. Counter updates happen only where the scalar path updated them,
@@ -31,7 +30,7 @@ with analytically derived (not measured) increments — see DESIGN.md
 §10 for the counting contract.
 """
 
-from .backend import BACKEND, HAVE_NUMPY, batch_enabled, kernels_enabled
+from .backend import BACKEND, batch_enabled, kernels_enabled
 from .batch import (
     all_points,
     clipped_area_total,
@@ -61,7 +60,6 @@ from .rect_array import (
 
 __all__ = [
     "BACKEND",
-    "HAVE_NUMPY",
     "ColumnTree",
     "LocalRectBuffer",
     "MatchPlan",

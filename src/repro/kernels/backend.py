@@ -1,64 +1,32 @@
-"""Backend selection and the runtime kernel toggle.
+"""The runtime execution switch.
 
-The array backend is chosen **once at import time**: numpy when it is
-importable, else the stdlib ``array('d')`` fallback. The choice can be
-forced with ``REPRO_KERNELS_BACKEND=numpy|python`` (read once, at
-import) — the bench harness uses the explicit ``backend=`` parameter of
-:class:`~repro.kernels.rect_array.RectArray` instead, so it can compare
-both backends inside one process.
-
-Whether call sites *use* the kernels at all is a separate, per-call
-decision: :func:`kernels_enabled` reads the ``REPRO_KERNELS``
-environment variable on every call (default: enabled). Reading the
-environment per call instead of caching it in a module flag keeps this
+Join execution has two paths, selected by ``REPRO_KERNELS``: the scalar
+reference (``REPRO_KERNELS=0``) and the default fast path —
+construction kernels, batch traversal plans and construction replay.
+:func:`kernels_enabled` reads the environment variable on every call.
+Reading it per call instead of caching it in a module flag keeps this
 module free of mutable state (RPR005) and lets the differential tests
-flip kernels on and off with ``monkeypatch.setenv`` — the hot paths
-cache the answer once per join run, so the per-call cost never lands in
-an inner loop.
+flip paths with ``monkeypatch.setenv`` — the hot paths cache the answer
+once per join run, so the per-call cost never lands in an inner loop.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy is present in CI images
-    _numpy = None  # type: ignore[assignment]
-
-_FORCED = os.environ.get("REPRO_KERNELS_BACKEND", "").strip().lower()
-if _FORCED == "python":
-    np: Any = None
-elif _FORCED == "numpy":
-    if _numpy is None:  # pragma: no cover - misconfiguration guard
-        raise ImportError(
-            "REPRO_KERNELS_BACKEND=numpy requested but numpy is not importable"
-        )
-    np = _numpy
-else:
-    np = _numpy
-
-HAVE_NUMPY = _numpy is not None
-
-#: The backend selected at import time: ``"numpy"`` or ``"python"``.
-BACKEND = "numpy" if np is not None else "python"
-
-#: Whether ``REPRO_KERNELS_BACKEND`` pinned the backend explicitly. A
-#: pinned backend disables the small-array heuristic of
-#: :class:`~repro.kernels.rect_array.RectArray`, so e2e runs can force
-#: numpy columns even at node fanout for testing.
-FORCED_BACKEND = _FORCED in ("python", "numpy")
+#: The array library behind the kernels (a declared dependency), as run
+#: records report it.
+BACKEND = "numpy"
 
 _DISABLED_VALUES = ("0", "false", "no", "off")
 
 
 def kernels_enabled() -> bool:
-    """Whether the vectorized kernels are enabled for this call.
+    """Whether this call takes the fast path rather than the scalar one.
 
     Controlled by ``REPRO_KERNELS`` (default: enabled). Any of ``0``,
-    ``false``, ``no``, ``off`` (case-insensitive) disables the kernels,
-    falling back to the scalar reference path everywhere.
+    ``false``, ``no``, ``off`` (case-insensitive) selects the scalar
+    reference path everywhere.
     """
     value = os.environ.get("REPRO_KERNELS")
     if value is None or value == "1":
@@ -69,18 +37,10 @@ def kernels_enabled() -> bool:
 
 
 def batch_enabled() -> bool:
-    """Whether the batch-first traversal layer is enabled for this call.
+    """Whether batch traversal runs: the same switch as the kernels.
 
-    Controlled by ``REPRO_BATCH`` (default: enabled), read per call for
-    the same reasons as :func:`kernels_enabled`. This is a *narrower*
-    switch than ``REPRO_KERNELS``: it gates only the columnar
-    node-store traversal plans (:mod:`repro.kernels.node_store`), so
-    the differential harness can compare scalar control flow against
-    batch control flow while the per-node kernels stay on. The batch
-    path additionally requires numpy and ``REPRO_KERNELS`` itself —
-    callers combine the three via their dispatch helpers.
+    Batch traversal plans and construction replay are part of the fast
+    path, so this is :func:`kernels_enabled` under the name run records
+    already use.
     """
-    value = os.environ.get("REPRO_BATCH")
-    if value is None or value == "1":
-        return True
-    return value.strip().lower() not in _DISABLED_VALUES
+    return kernels_enabled()

@@ -8,8 +8,8 @@ instead of counted one comparison at a time.
 
 Two implementations back each kernel: a numpy one (used when the
 operands carry numpy columns) and a pure-Python one over the list
-columns. The numpy paths restrict themselves to
-elementwise IEEE-754 operations that mirror the scalar expression
+columns that node-sized arrays use. The numpy paths restrict
+themselves to elementwise IEEE-754 operations that mirror the scalar expression
 trees exactly (``minimum``/``maximum``, elementwise ``*``/``-``,
 comparisons, ``searchsorted``), so no float can differ in even the
 last ulp; reductions that would reassociate additions (``ndarray.sum``
@@ -39,9 +39,10 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+import numpy as np
+
 from ..errors import GeometryError
 from ..geometry.rect import Rect
-from .backend import np
 from .rect_array import RectArray
 
 __all__ = [
@@ -388,8 +389,9 @@ def quadratic_split_indices(
     scalar's row-major scan order), the same PickNext choices and group
     assignments under the same tie-break chain, the same early
     absorption into an under-filled group. PickSeeds is the O(n²) part
-    and runs on numpy when available and worthwhile; the PickNext loop
-    runs on the list columns with the scalar expression trees inlined.
+    and runs on numpy when the node is big enough to pay; the PickNext
+    loop runs on the list columns with the scalar expression trees
+    inlined.
 
     Returns ``None`` — caller falls back to the scalar path — when the
     pair matrix contains NaN (coordinate overflow), where numpy's
@@ -405,7 +407,7 @@ def quadratic_split_indices(
     areas = [(xhi[k] - xlo[k]) * (yhi[k] - ylo[k]) for k in range(n)]
 
     # --- PickSeeds: maximise d = area(union) - area(e1) - area(e2) ----- #
-    if np is not None and n >= _SEEDS_NUMPY_MIN:
+    if n >= _SEEDS_NUMPY_MIN:
         axlo = np.asarray(xlo)
         aylo = np.asarray(ylo)
         axhi = np.asarray(xhi)
@@ -539,31 +541,15 @@ def clipped_area_total(
     there). Summation is done over a Python list so it associates
     exactly like the scalar ``sum()``.
     """
-    if np is not None:
-        hw = (np.asarray(w, dtype=np.float64) * scale) / 2.0
-        hh = (np.asarray(h, dtype=np.float64) * scale) / 2.0
-        cxa = np.asarray(cx, dtype=np.float64)
-        cya = np.asarray(cy, dtype=np.float64)
-        ixlo = np.maximum(cxa - hw, window.xlo)
-        iylo = np.maximum(cya - hh, window.ylo)
-        ixhi = np.minimum(cxa + hw, window.xhi)
-        iyhi = np.minimum(cya + hh, window.yhi)
-        if bool(np.any((ixlo > ixhi) | (iylo > iyhi))):
-            return None
-        areas = ((ixhi - ixlo) * (iyhi - iylo)).tolist()
-    else:
-        areas = []
-        wxlo, wylo, wxhi, wyhi = window.xlo, window.ylo, window.xhi, window.yhi
-        for k in range(len(cx)):
-            half_w = (w[k] * scale) / 2.0
-            half_h = (h[k] * scale) / 2.0
-            xlo, xhi = cx[k] - half_w, cx[k] + half_w
-            ylo, yhi = cy[k] - half_h, cy[k] + half_h
-            ixlo = xlo if xlo >= wxlo else wxlo
-            iylo = ylo if ylo >= wylo else wylo
-            ixhi = xhi if xhi <= wxhi else wxhi
-            iyhi = yhi if yhi <= wyhi else wyhi
-            if ixlo > ixhi or iylo > iyhi:
-                return None
-            areas.append((ixhi - ixlo) * (iyhi - iylo))
+    hw = (np.asarray(w, dtype=np.float64) * scale) / 2.0
+    hh = (np.asarray(h, dtype=np.float64) * scale) / 2.0
+    cxa = np.asarray(cx, dtype=np.float64)
+    cya = np.asarray(cy, dtype=np.float64)
+    ixlo = np.maximum(cxa - hw, window.xlo)
+    iylo = np.maximum(cya - hh, window.ylo)
+    ixhi = np.minimum(cxa + hw, window.xhi)
+    iyhi = np.minimum(cya + hh, window.yhi)
+    if bool(np.any((ixlo > ixhi) | (iylo > iyhi))):
+        return None
+    areas = ((ixhi - ixlo) * (iyhi - iylo)).tolist()
     return sum(areas)

@@ -1,15 +1,16 @@
 """Columnar node store and batch traversal plans.
 
-PR 5's kernels vectorized the *inside* of one node visit, but the
-traversal itself stayed scalar: one kernel call per node pair, one
-window query at a time, object allocation between calls. At R-tree
-fanout (a few dozen entries) the per-call overhead eats most of the
-kernel win — the Amdahl gap the benchmark numbers show.
+A kernel can vectorize the *inside* of one node visit, but a traversal
+driven node by node still pays one kernel call per node pair, one
+window query at a time, and object allocation between calls. At R-tree
+fanout (a few dozen entries) that per-call overhead eats the whole
+kernel win: a per-node kernel tree matcher measured slower than the
+scalar one.
 
-This module closes that gap by restructuring traversal around a
-:class:`ColumnTree` — a read-only level-order struct-of-arrays snapshot
-of a built tree (entry MBR columns, CSR child offsets, leaf object
-ids, page ids for accounting) — and *plan builders* that push an
+This module avoids the per-node dispatch by restructuring traversal
+around a :class:`ColumnTree` — a read-only level-order struct-of-arrays
+snapshot of a built tree (entry MBR columns, CSR child offsets, leaf
+object ids, page ids for accounting) — and *plan builders* that push an
 entire frontier through the tree per numpy call:
 
 * :func:`build_window_plans` — thousands of window queries descend
@@ -31,9 +32,8 @@ snapshot cache keys on the owning tree's ``mutations`` stamp, which
 every mutating path — inserts, deletes, ``patch_entry_mbr``-driven
 seed updates, the dynamic maintenance lane — bumps).
 
-Requires numpy: the plan builders are only reachable through dispatch
-helpers that check ``HAVE_NUMPY`` alongside the ``REPRO_KERNELS`` and
-``REPRO_BATCH`` toggles.
+The plan builders are part of the default fast path; the
+``REPRO_KERNELS=0`` scalar reference never reaches them.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from __future__ import annotations
 import zlib
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from ..errors import GeometryError
-from .backend import np
 
 __all__ = [
     "ColumnTree",
@@ -161,8 +162,6 @@ class ColumnTree:
         ``root_page`` becomes node index 0; every internal entry's ref
         must name another record's page.
         """
-        if np is None:  # pragma: no cover - callers gate on HAVE_NUMPY
-            raise GeometryError("ColumnTree requires the numpy backend")
         recs = list(records)
         if not recs:
             raise GeometryError("cannot build a ColumnTree from no nodes")

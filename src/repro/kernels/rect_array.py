@@ -2,11 +2,11 @@
 
 A :class:`RectArray` holds ``n`` rectangles as four parallel coordinate
 columns (``xlo``, ``ylo``, ``xhi``, ``yhi``) instead of ``n`` boxed
-:class:`~repro.geometry.rect.Rect` objects. Columns are
-``numpy.float64`` arrays on the numpy backend and plain Python lists of
-floats on the pure-Python fallback; both store exactly the IEEE-754
-doubles of the source rectangles, so kernels that only compare or
-min/max the columns reproduce the scalar results bit for bit.
+:class:`~repro.geometry.rect.Rect` objects. Columns are either
+``numpy.float64`` arrays or plain Python lists of floats; both store
+exactly the IEEE-754 doubles of the source rectangles, so kernels that
+only compare or min/max the columns reproduce the scalar results bit
+for bit.
 
 Ownership is split from access. A :class:`RectArray` is a *view*: it
 never allocates cross-process resources and never needs explicit
@@ -23,20 +23,20 @@ teardown. The storage behind a view is an *owning buffer handle*:
 that *creates* the segment owns it (it alone may ``unlink``); any other
 process *attaches* by :class:`SharedRectDescriptor` — a tiny picklable
 token — and gets read-only columns: numpy views with the writable flag
-cleared when numpy is importable, read-only ``memoryview`` casts
-otherwise. Attached columns raising on assignment is the runtime twin
-of lint rule RPR008 (workers treat shared columns as immutable).
+cleared, or read-only ``memoryview`` casts for list-sized arrays.
+Attached columns raising on assignment is the runtime twin of lint
+rule RPR008 (workers treat shared columns as immutable).
 
-Small arrays stay on list columns even when numpy is available: below
-:data:`NUMPY_MIN_N` rectangles the fixed per-call overhead of a numpy
-kernel exceeds the whole scalar scan (an R-tree node at the paper's
-page sizes holds a few dozen entries), while the list-column loops in
+Small arrays stay on list columns: below :data:`NUMPY_MIN_N`
+rectangles the fixed per-call overhead of a numpy kernel exceeds the
+whole scalar scan (an R-tree node at the paper's page sizes holds a few
+dozen entries), while the list-column loops in
 :mod:`repro.kernels.batch` still beat the scalar path by skipping the
-per-entry attribute and method dispatch. The heuristic applies only to
-the default backend: an explicit ``backend=`` argument or a pinned
-``REPRO_KERNELS_BACKEND`` always gets the representation it asked for,
-which is what the perf harness uses to benchmark both representations
-in a single process.
+per-entry attribute and method dispatch. This size heuristic is the
+construction fast path, not a second backend: pinning numpy columns at
+every size makes construction-heavy joins markedly slower. An explicit
+``backend="numpy"|"python"`` argument overrides it, which is how the
+parity tests exercise both representations at every size.
 """
 
 from __future__ import annotations
@@ -45,39 +45,33 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
+import numpy as np
+
 from ..errors import GeometryError
 from ..geometry.rect import Rect
-from .backend import BACKEND, FORCED_BACKEND, np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..rtree.node import Entry
 
-#: Below this many rectangles the default backend keeps list columns:
+#: Below this many rectangles a RectArray keeps list columns by default:
 #: numpy's per-call overhead (~µs) outweighs a sub-hundred-element scan.
 NUMPY_MIN_N = 64
 
 
-def _use_numpy(backend: str | None) -> bool:
-    choice = BACKEND if backend is None else backend
-    if choice == "numpy":
-        if np is None:
-            raise GeometryError("numpy backend requested but numpy is unavailable")
-        return True
-    if choice == "python":
-        return False
-    raise GeometryError(f"unknown RectArray backend: {choice!r}")
-
-
 def _pick_numpy(backend: str | None, n: int) -> bool:
-    """Backend decision for ``n`` rectangles.
+    """Representation decision for ``n`` rectangles.
 
-    Explicit requests are honoured verbatim; the default backend takes
-    numpy only for arrays big enough to amortise the per-call overhead
-    (always, when ``REPRO_KERNELS_BACKEND`` pinned it).
+    Explicit requests are honoured verbatim; by default numpy columns
+    are used only for arrays big enough to amortise the per-call
+    overhead.
     """
-    if backend is None and np is not None:
-        return FORCED_BACKEND or n >= NUMPY_MIN_N
-    return _use_numpy(backend)
+    if backend is None:
+        return n >= NUMPY_MIN_N
+    if backend == "numpy":
+        return True
+    if backend == "python":
+        return False
+    raise GeometryError(f"unknown RectArray backend: {backend!r}")
 
 
 class RectArray:
@@ -410,7 +404,7 @@ class SharedRectBuffer:
         try:
             for c, col in enumerate((xlo, ylo, xhi, yhi)):
                 base = c * n
-                if np is not None and isinstance(col, np.ndarray):
+                if isinstance(col, np.ndarray):
                     mv[base:base + n] = memoryview(
                         np.ascontiguousarray(col, dtype=np.float64).tobytes()
                     ).cast("d")
@@ -437,11 +431,11 @@ class SharedRectBuffer:
     def _make_columns(self, readonly: bool) -> tuple[Any, Any, Any, Any]:
         n = self.n
         if self._shm is None:
-            if self.is_numpy and np is not None:
+            if self.is_numpy:
                 empty = np.empty(0, dtype=np.float64)
                 return (empty, empty, empty, empty)
             return ([], [], [], [])
-        if self.is_numpy and np is not None:
+        if self.is_numpy:
             cols = []
             for c in range(4):
                 arr = np.frombuffer(
@@ -598,8 +592,8 @@ class SharedRectArray(RectArray):
 
     def close(self) -> None:
         """Drop this view's columns and release the mapping."""
-        empty: Any = [] if not self.is_numpy else (
-            np.empty(0, dtype=np.float64) if np is not None else []
+        empty: Any = (
+            np.empty(0, dtype=np.float64) if self.is_numpy else []
         )
         self.xlo = self.ylo = self.xhi = self.yhi = empty
         self.n = 0

@@ -10,8 +10,7 @@ both so an abandoned handle cannot outlive its process.
 
 int64 covers every object id the repo generates (and then some); a
 dataset whose oids do not fit is rejected at publish time, which makes
-the executor fall back to shipping pickled entries — correct, just
-slower.
+the executor run the join in-process — correct, just not parallel.
 """
 
 from __future__ import annotations
@@ -20,8 +19,9 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
 from ..errors import ParallelError
-from ..kernels.backend import np
 from ..kernels.rect_array import _attach_untracked
 
 __all__ = ["INT64_MAX", "INT64_MIN", "SharedInts", "SharedIntsDescriptor"]
@@ -43,19 +43,17 @@ class SharedInts:
 
     Mirrors :class:`~repro.kernels.rect_array.SharedRectBuffer`'s
     lifecycle; see that class for the ownership rules. ``values`` is a
-    read-only view — a numpy array with the writable flag cleared when
-    numpy is importable, a read-only ``memoryview`` cast otherwise.
+    read-only view — a numpy array with the writable flag cleared.
     """
 
-    __slots__ = ("name", "n", "owner", "_shm", "_base_mv", "_values",
-                 "_finalizer", "__weakref__")
+    __slots__ = ("name", "n", "owner", "_shm", "_values", "_finalizer",
+                 "__weakref__")
 
     def __init__(self, shm: Any, n: int, *, owner: bool) -> None:
         self._shm = shm
         self.name: str | None = shm.name if shm is not None else None
         self.n = n
         self.owner = owner
-        self._base_mv: Any = None
         self._values = self._make_view()
         if shm is not None:
             self._finalizer = weakref.finalize(
@@ -102,14 +100,10 @@ class SharedInts:
 
     def _make_view(self) -> Any:
         if self._shm is None:
-            return [] if np is None else np.empty(0, dtype=np.int64)
-        if np is not None:
-            arr = np.frombuffer(self._shm.buf, dtype=np.int64, count=self.n)
-            arr.flags.writeable = False
-            return arr
-        mv = memoryview(self._shm.buf).cast("q")
-        self._base_mv = mv
-        return mv.toreadonly()
+            return np.empty(0, dtype=np.int64)
+        arr = np.frombuffer(self._shm.buf, dtype=np.int64, count=self.n)
+        arr.flags.writeable = False
+        return arr
 
     # -- access -------------------------------------------------------- #
 
@@ -128,9 +122,6 @@ class SharedInts:
     def close(self) -> None:
         """Release this process's mapping (idempotent)."""
         self._values = None
-        if self._base_mv is not None:
-            self._base_mv.release()
-            self._base_mv = None
         if self._shm is not None:
             try:
                 self._shm.close()

@@ -5,7 +5,7 @@ datasets, run tile joins, drop attachments on invalidation, exit on
 shutdown. All join logic is the engine's own —
 :func:`~repro.join.engine.build_partition_substrate` and
 :func:`~repro.join.engine.join_on_substrate` — so a pooled tile join is
-the same code path as a legacy or in-process one; the worker only adds
+the same code path as an in-process one; the worker only adds
 what makes the pool fast: entry reconstruction from shared columns and
 a warm cache of per-tile substrates, keyed by
 ``(dataset, version, grid, tile, config)`` so any change of inputs or
@@ -43,10 +43,10 @@ __all__ = ["TileJob", "TileRunner", "forwarded_env", "pack_outcome",
 #: several concurrent benchmark datasets without unbounded growth.
 SUBSTRATE_CACHE_LIMIT = 64
 
-#: Runtime toggles that must follow a task into a persistent worker.
-#: The legacy per-join pool inherited the parent's environment at every
-#: fork; pool workers fork once, so per-call environment reads (the
-#: kernels and sanitizer switches) would otherwise see a stale snapshot.
+#: Runtime switches that must follow a task into a persistent worker.
+#: Pool workers fork once, so per-call environment reads (the execution
+#: path and sanitizer switches) would otherwise see the values from
+#: when the worker started.
 _FORWARDED_ENV = ("REPRO_KERNELS", "REPRO_SANITIZE")
 
 

@@ -28,18 +28,17 @@ creation). The finished tree is materialised from final-state node
 images with their internal refs shifted by the same ``delta``; leaf
 refs are object ids and never shift.
 
-Eligibility is conservative: the cache only engages when both
-``REPRO_KERNELS`` and ``REPRO_BATCH`` are on and the run is plain —
+Eligibility is conservative: the cache only engages on the default
+fast path (not under ``REPRO_KERNELS=0``) and when the run is plain —
 no recovery policy, no trace, no sanitizer, no fault injector, no
-deadline. Everything else (and either kill switch) takes the scalar
-build unchanged.
+deadline. Everything else takes the scalar build unchanged.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..kernels.backend import batch_enabled, kernels_enabled
+from ..kernels.backend import kernels_enabled
 from ..rtree.node import Entry, Node
 from ..storage.datafile import DataFile
 from .tree import SeededTree, TreePhase, _Slot
@@ -58,7 +57,7 @@ class BuildRecording:
 
 
 def _eligible(ctx: Any) -> bool:
-    if not (kernels_enabled() and batch_enabled()):
+    if not kernels_enabled():
         return False
     if ctx.recovery is not None or ctx.trace is not None or ctx.sanitize:
         return False

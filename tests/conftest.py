@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
+from typing import Any, Callable
 
 import pytest
 
@@ -58,3 +61,37 @@ def random_entries(
     return [
         (r, oid_start + i) for i, r in enumerate(random_rects(n, seed, side))
     ]
+
+
+def _counting(fn: Callable, counts: Counter) -> Callable:
+    def counted(*args: Any, **kwargs: Any) -> Any:
+        counts[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count calls of library functions without changing what they do.
+
+    ``count_calls(fn, ...)`` rebinds every ``repro.*`` module attribute
+    that holds ``fn`` — the names its callers look up — to a counting
+    wrapper, and returns the :class:`~collections.Counter` (keyed by
+    function name) that keeps counting until the test ends. Differential
+    legs use it to prove which execution path they actually ran.
+    """
+    counts: Counter = Counter()
+
+    def install(*fns: Callable) -> Counter:
+        for fn in fns:
+            counted = _counting(fn, counts)
+            for name, module in list(sys.modules.items()):
+                if module is None or name.split(".")[0] != "repro":
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+        return counts
+
+    return install

@@ -87,15 +87,12 @@ def test_workers_one_matches_pool(monkeypatch):
     ws, tree_r, file_s = _env()
     pooled = _join(ws, tree_r, file_s, method="BFJ", workers=2, partitions=9)
 
-    import repro.join.engine as engine_mod
+    import repro.parallel as parallel_mod
 
-    def _no_pool():  # pragma: no cover - failure path
-        raise AssertionError("workers=1 must not build a pool")
+    def _no_pool(*_args):  # pragma: no cover - failure path
+        raise AssertionError("workers=1 must not use a pool")
 
-    monkeypatch.setattr(
-        engine_mod.ParallelExecutor, "_pool_context",
-        staticmethod(_no_pool),
-    )
+    monkeypatch.setattr(parallel_mod, "get_default_pool", _no_pool)
     ws.start_measurement()
     serial = _join(ws, tree_r, file_s, method="BFJ", workers=1, partitions=9)
     assert serial.pair_set() == pooled.pair_set()

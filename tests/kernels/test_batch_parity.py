@@ -20,7 +20,6 @@ from repro.errors import GeometryError
 from repro.geometry import Rect, union_all
 from repro.geometry.sweep import brute_force_pairs, sweep_pairs
 from repro.kernels import (
-    HAVE_NUMPY,
     NUMPY_MIN_N,
     RectArray,
     all_points,
@@ -32,14 +31,13 @@ from repro.kernels import (
     quadratic_split_indices,
     sweep_pairs_batch,
 )
-from repro.kernels.backend import FORCED_BACKEND
 from repro.metrics.counters import CpuCounters
 from repro.rtree.node import Entry
 from repro.rtree.split import check_split, quadratic_split
 
 from ..strategies import rect_lists, rects
 
-BACKENDS = ("numpy", "python") if HAVE_NUMPY else ("python",)
+BACKENDS = ("numpy", "python")
 
 backend_param = pytest.mark.parametrize("backend", BACKENDS)
 
@@ -124,7 +122,6 @@ class TestSweepBatch:
         assert pairs == [(0, 0)]
         assert type(pairs[0][0]) is int and type(pairs[0][1]) is int
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs both backends")
     @settings(max_examples=100, deadline=None)
     @given(a=rect_lists(max_size=20), b=rect_lists(max_size=20))
     def test_backends_agree(self, a, b):
@@ -274,16 +271,12 @@ class TestRectArray:
         """Without an explicit backend, node-sized arrays use list
         columns — numpy's fixed per-call overhead dominates at fanout
         sizes (the NUMPY_MIN_N heuristic)."""
-        if FORCED_BACKEND:
-            pytest.skip("REPRO_KERNELS_BACKEND pins the backend")
         small = RectArray.from_rects([Rect(0, 0, 1, 1)] * 4)
         assert not small.is_numpy
         big = RectArray.from_rects([Rect(0, 0, 1, 1)] * NUMPY_MIN_N)
-        assert big.is_numpy == HAVE_NUMPY
+        assert big.is_numpy
 
     def test_explicit_backend_overrides_heuristic(self):
-        if not HAVE_NUMPY:
-            pytest.skip("numpy not importable")
         assert RectArray.from_rects([Rect(0, 0, 1, 1)], backend="numpy").is_numpy
         many = [Rect(0, 0, 1, 1)] * (NUMPY_MIN_N + 8)
         assert not RectArray.from_rects(many, backend="python").is_numpy

@@ -18,18 +18,13 @@ stamp stands still).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import settings
 from hypothesis.stateful import invariant
 
-from repro.join.batch import batch_traversal_available, column_tree_of
+from repro.join.batch import column_tree_of
 from repro.kernels.node_store import ColumnTree
 
 from ..dynamic.test_stateful_dynamic import DynamicJoinMachine
-
-if not batch_traversal_available():  # pragma: no cover
-    pytest.skip("batch traversal needs the numpy backend",
-                allow_module_level=True)
 
 #: Every column of a ColumnTree, in layout order.
 COLUMNS = (

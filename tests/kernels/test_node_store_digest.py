@@ -12,14 +12,8 @@ of the digest.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.join.batch import batch_traversal_available
 from repro.kernels.node_store import ColumnTree
-
-if not batch_traversal_available():  # pragma: no cover
-    pytest.skip("ColumnTree requires the numpy backend",
-                allow_module_level=True)
 
 
 def _records(base: int):

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.errors import GeometryError, ParallelError
 from repro.geometry import Rect
-from repro.kernels.backend import np
 from repro.kernels.rect_array import (
     LocalRectBuffer,
     RectArray,
@@ -36,7 +35,7 @@ from repro.kernels.rect_array import (
 )
 from repro.parallel.shm import SharedInts, SharedIntsDescriptor
 
-BACKENDS = ("python",) + (("numpy",) if np is not None else ())
+BACKENDS = ("python", "numpy")
 
 
 def _segment_exists(name: str) -> bool:

@@ -108,20 +108,33 @@ def test_workers_one_never_pools():
     assert decision.reason == "single worker requested"
 
 
-def test_legacy_mode_env_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_POOL", "0")
-    ws, tree_r, file_s = _env(seed=41)
-    sequential = _join(ws, tree_r, file_s, method="STJ1-2N")
+def test_unpublishable_dataset_runs_in_process():
+    """Oids beyond int64 cannot go into the shared columns, so the join
+    runs in-process — same answer — and the decision says why."""
+    ws = Workspace(CFG)
+    d_r = generate_clustered(ClusteredConfig(
+        420, cover_quotient=2.0, objects_per_cluster=10, seed=41,
+    ))
+    d_s = generate_clustered(ClusteredConfig(
+        280, cover_quotient=2.0, objects_per_cluster=10, seed=42,
+        oid_start=2**63,
+    ))
+    tree_r = ws.install_rtree(d_r)
+    file_s = ws.install_datafile(d_s)
     ws.start_measurement()
-    legacy = _join(
-        ws, tree_r, file_s, method="STJ1-2N",
+    sequential = _join(ws, tree_r, file_s, method="NAIVE")
+    assert sequential.pairs
+    ws.start_measurement()
+    result = _join(
+        ws, tree_r, file_s, method="NAIVE",
         workers=2, partitions=4, parallel_guard=False,
     )
-    assert legacy.pair_set() == sequential.pair_set()
-    decision = legacy.parallel_decision
+    assert result.pair_set() == sequential.pair_set()
+    decision = result.parallel_decision
     assert not decision.pooled
-    assert decision.effective_workers == 2
-    assert decision.reason == "legacy per-join pool"
+    assert decision.effective_workers == 1
+    assert "int64" in decision.reason
+    assert decision.reason.endswith("running in-process")
 
 
 # --------------------------------------------------------------------- #

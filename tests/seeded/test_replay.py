@@ -43,7 +43,6 @@ def _workload():
 @pytest.fixture
 def env(monkeypatch):
     monkeypatch.setenv("REPRO_KERNELS", "1")
-    monkeypatch.setenv("REPRO_BATCH", "1")
     d_r, d_s = _workload()
     ws = Workspace(CFG)
     tree_r = ws.install_rtree(d_r)
@@ -95,8 +94,10 @@ def test_first_run_records_then_replays(env, spies):
 
 
 def test_batch_kill_switch_stands_down(env, spies, monkeypatch):
+    """``REPRO_KERNELS=0`` switches off the whole fast path — batch
+    traversal and construction replay alike."""
     ws, tree_r, file_s = env
-    monkeypatch.setenv("REPRO_BATCH", "0")
+    monkeypatch.setenv("REPRO_KERNELS", "0")
     _join(ws, tree_r, file_s)
     _join(ws, tree_r, file_s)
     assert spies == {"record": 0, "replay": 0}
@@ -127,14 +128,15 @@ def test_seeding_tree_mutation_invalidates(env, spies):
     assert first.pairs  # the pre-mutation run was non-vacuous
 
 
-def test_replay_costs_match_a_scalar_rerun(monkeypatch):
+def test_replay_costs_match_a_scalar_rerun(monkeypatch, spies):
     """Twin workspaces, three runs each: every replayed run's counters
-    and cumulative buffer stats equal the scalar path's run for run."""
+    and cumulative buffer stats equal the scalar path's run for run —
+    and the fast leg really replayed, the scalar leg never did."""
     d_r, d_s = _workload()
 
-    def runs(kernels, batch):
+    def runs(kernels):
         monkeypatch.setenv("REPRO_KERNELS", kernels)
-        monkeypatch.setenv("REPRO_BATCH", batch)
+        spies.update(record=0, replay=0)
         ws = Workspace(CFG)
         tree_r = ws.install_rtree(d_r)
         file_s = ws.install_datafile(d_s)
@@ -145,9 +147,11 @@ def test_replay_costs_match_a_scalar_rerun(monkeypatch):
                         ws.buffer.stats.hits, ws.buffer.stats.misses))
         return out
 
-    for (pb, sb, hb, mb), (ps, ss, hs, ms) in zip(
-        runs("1", "1"), runs("0", "0")
-    ):
+    fast = runs("1")
+    assert spies == {"record": 1, "replay": 2}
+    scalar = runs("0")
+    assert spies == {"record": 0, "replay": 0}
+    for (pb, sb, hb, mb), (ps, ss, hs, ms) in zip(fast, scalar):
         assert pb == ps
         for field in SUMMARY_FIELDS:
             assert getattr(sb, field) == getattr(ss, field)
