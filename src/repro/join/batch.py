@@ -15,6 +15,12 @@ buffer so the cost model observes the exact scalar behavior:
   where the scalar run would);
 * the same pairs in the same emission order.
 
+The snapshots pack leaf object ids as int64. A tree whose oids do not
+fit has no snapshot (:func:`column_tree_of` caches ``None`` for that
+tree version), and a probe batch whose oids do not fit has no plan key;
+the batch functions then return ``None`` before any accounted operation
+and their callers run the scalar reference for that join.
+
 What the replay *skips* is the per-node Python work between accounted
 operations — Rect allocation, per-entry predicate loops, per-node
 dispatch — which is precisely the control-flow overhead the Amdahl gap
@@ -46,7 +52,7 @@ __all__ = [
 # Snapshot ownership and invalidation
 # --------------------------------------------------------------------- #
 
-def column_tree_of(tree: Any) -> ColumnTree:
+def column_tree_of(tree: Any) -> ColumnTree | None:
     """The columnar snapshot of ``tree``, rebuilt when its version moves.
 
     The version stamp is ``(tree.mutations, tree.root_id)``: every
@@ -56,11 +62,16 @@ def column_tree_of(tree: Any) -> ColumnTree:
     covers the root-split/collapse edge. Building reads nodes through
     the unaccounted peek path (`iter_nodes`), so a snapshot never
     perturbs the cost model.
+
+    ``None`` means some leaf ref (object id) does not fit the
+    snapshot's int64 ref column. That answer is cached under the same
+    stamp, so the fast path stands down for this tree version at the
+    cost of one stamp comparison per join.
     """
     key = (tree.mutations, tree.root_id)
     cached = getattr(tree, "_column_tree", None)
-    if cached is not None and cached.stamp == key:
-        return cached
+    if cached is not None and cached[0] == key:
+        return cached[1]
     records = []
     for node in tree.iter_nodes():
         entries = node.entries
@@ -73,8 +84,11 @@ def column_tree_of(tree: Any) -> ColumnTree:
             [e.mbr.xhi for e in entries],
             [e.mbr.yhi for e in entries],
         ))
-    snapshot = ColumnTree.build(records, tree.root_id, stamp=key)
-    tree._column_tree = snapshot
+    try:
+        snapshot = ColumnTree.build(records, tree.root_id, stamp=key)
+    except OverflowError:
+        snapshot = None
+    tree._column_tree = (key, snapshot)
     return snapshot
 
 
@@ -145,25 +159,30 @@ def match_trees_batch(
     tree_a: Any,
     tree_b: Any,
     metrics: MetricsCollector | None = None,
-) -> list[JoinPair]:
+) -> list[JoinPair] | None:
     """Batch-planned TM: identical answers and costs, no per-pair Python.
 
-    The preamble mirrors the scalar :func:`~repro.join.matching
-    .match_trees` exactly — both roots read unpinned, empty-tree early
-    exit — and the pair forest is then walked depth-first with the
-    scalar's pin discipline: pin a, pin b, charge the pair's XY total,
-    emit, descend children in sweep order, unpin b then a. The
-    ``finally`` chain is the scalar ``_match``'s, so a storage fault
-    unwinds the pins identically; recursion depth is the forest depth
-    (bounded by the two tree heights), same as the scalar matcher.
+    Both snapshots are taken first, through unaccounted peeks; if
+    either tree has no snapshot (oids beyond int64) the result is
+    ``None`` and nothing has been charged. The preamble then mirrors
+    the scalar :func:`~repro.join.matching.match_trees` exactly — both
+    roots read unpinned, empty-tree early exit — and the pair forest is
+    walked depth-first with the scalar's pin discipline: pin a, pin b,
+    charge the pair's XY total, emit, descend children in sweep order,
+    unpin b then a. The ``finally`` chain is the scalar ``_match``'s,
+    so a storage fault unwinds the pins identically; recursion depth is
+    the forest depth (bounded by the two tree heights), same as the
+    scalar matcher.
     """
+    ct_a = column_tree_of(tree_a)
+    ct_b = column_tree_of(tree_b)
+    if ct_a is None or ct_b is None:
+        return None
     root_a = tree_a.read_node(tree_a.root_id)
     root_b = tree_b.read_node(tree_b.root_id)
     if not root_a.entries or not root_b.entries:
         return []
-    prep = _prepared_match_of(
-        tree_a, tree_b, column_tree_of(tree_a), column_tree_of(tree_b)
-    )
+    prep = _prepared_match_of(tree_a, tree_b, ct_a, ct_b)
 
     cpu = metrics.cpu if metrics is not None else None
     fetch_a = tree_a.buffer.fetch
@@ -253,18 +272,20 @@ class _PreparedWindow:
         self.pairs = pairs
 
 
-def window_join_batch(data_s: Any, tree_r: Any) -> list[JoinPair]:
+def window_join_batch(rows: list, tree_r: Any) -> list[JoinPair] | None:
     """All of BFJ's window queries planned together, replayed in order.
 
-    The sequential scan is materialised first — the scalar loop charges
-    every run read on its first iteration anyway — and the whole query
-    batch then descends the columnar snapshot level-synchronously. The
-    lowered plan is cached on the tree, keyed by snapshot identity and
-    query-batch content, so a resident service probing the same run
-    against the same tree pays only the accounted replay.
+    ``rows`` is the materialised ``(rect, oid)`` scan of ``D_S``. The
+    whole query batch descends the columnar snapshot level-synchronously.
+    The lowered plan is cached on the tree, keyed by snapshot identity
+    and query-batch content, so a resident service probing the same run
+    against the same tree pays only the accounted replay. Returns
+    ``None``, having charged nothing, when ``T_R`` has no snapshot or a
+    query oid does not fit the int64 plan key.
     """
-    rows = list(data_s.scan())
     ct = column_tree_of(tree_r)
+    if ct is None:
+        return None
     nq = len(rows)
     qxlo = np.empty(nq)
     qylo = np.empty(nq)
@@ -278,8 +299,12 @@ def window_join_batch(data_s: Any, tree_r: Any) -> list[JoinPair]:
         qxhi[i] = rect.xhi
         qyhi[i] = rect.yhi
         add_oid(oid_s)
+    try:
+        packed_oids = np.asarray(oids, dtype=np.int64)
+    except OverflowError:
+        return None
     qkey = (
-        nq, zlib.crc32(np.asarray(oids, dtype=np.int64).tobytes()),
+        nq, zlib.crc32(packed_oids.tobytes()),
         zlib.crc32(qxlo.tobytes()), zlib.crc32(qylo.tobytes()),
         zlib.crc32(qxhi.tobytes()), zlib.crc32(qyhi.tobytes()),
     )

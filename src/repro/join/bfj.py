@@ -16,30 +16,44 @@ when STJ construction fails irrecoverably.
 
 from __future__ import annotations
 
+from typing import Any, Iterable
+
 from ..kernels import kernels_enabled
 from ..metrics import MetricsCollector, Phase
 from ..metrics.tracing import JoinTrace
 from ..rtree import RTree
 from ..storage import DataFile
+from ..storage.datafile import DataEntry
 from .batch import window_join_batch
 from .engine import ExecutionContext, JoinPhase, JoinPipeline
-from .result import JoinResult
+from .result import JoinPair, JoinResult
+
+
+def _window_queries(rows: Iterable[DataEntry], tree_r: Any) -> list[JoinPair]:
+    """The scalar reference: one window query per D_S rectangle. Passing
+    the toggle spares thousands of per-query environment reads."""
+    pairs = []
+    for rect, oid_s in rows:
+        for oid_r in tree_r.window_query(rect, use_kernels=False):
+            pairs.append((oid_s, oid_r))
+    return pairs
 
 
 def _match(ctx: ExecutionContext) -> None:
     if kernels_enabled():
-        # All window queries descend the columnar snapshot together;
-        # the replay fetches the same pages in the same order and emits
-        # identical pairs (see repro.join.batch).
-        ctx.state["pairs"] = window_join_batch(ctx.data_s, ctx.tree_r)
+        # The scan is materialised first — the scalar loop charges every
+        # run read on its first iteration anyway. All window queries then
+        # descend the columnar snapshot together; the replay fetches the
+        # same pages in the same order and emits identical pairs (see
+        # repro.join.batch). Oids beyond int64 leave the batch path
+        # nothing to plan with, and the scalar loop answers instead.
+        rows = list(ctx.data_s.scan())
+        pairs = window_join_batch(rows, ctx.tree_r)
+        if pairs is None:
+            pairs = _window_queries(rows, ctx.tree_r)
+        ctx.state["pairs"] = pairs
         return
-    # The scalar reference: one window query per D_S rectangle. Passing
-    # the toggle spares thousands of per-query environment reads.
-    pairs = []
-    for rect, oid_s in ctx.data_s.scan():
-        for oid_r in ctx.tree_r.window_query(rect, use_kernels=False):
-            pairs.append((oid_s, oid_r))
-    ctx.state["pairs"] = pairs
+    ctx.state["pairs"] = _window_queries(ctx.data_s.scan(), ctx.tree_r)
 
 
 def bfj_pipeline() -> JoinPipeline:

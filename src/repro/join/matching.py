@@ -62,10 +62,14 @@ def match_trees(
     columnar snapshots and replayed through the buffer —
     :func:`~repro.join.batch.match_trees_batch` — with bit-identical
     pairs, counters and I/O. ``REPRO_KERNELS=0`` runs the scalar
-    recursion below, the reference the batch path is tested against.
+    recursion below, the reference the batch path is tested against;
+    so does a join whose trees hold oids beyond int64, which the
+    snapshots cannot pack.
     """
     if kernels_enabled():
-        return match_trees_batch(tree_a, tree_b, metrics)
+        pairs = match_trees_batch(tree_a, tree_b, metrics)
+        if pairs is not None:
+            return pairs
     return _TreeMatcher(tree_a, tree_b, metrics).run()
 
 

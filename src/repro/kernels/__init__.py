@@ -10,7 +10,9 @@ Layout
 ------
 * :mod:`~repro.kernels.backend` — the ``REPRO_KERNELS`` switch between
   the scalar reference and the fast path (these kernels, batch
-  traversal plans and construction replay).
+  traversal plans, construction replay, and ZJOIN's batch z-order
+  decomposition, which lives with the scalar rule in
+  :mod:`repro.zorder.curve`).
 * :mod:`~repro.kernels.rect_array` — :class:`RectArray`, the parallel
   ``xlo/ylo/xhi/yhi`` coordinate columns, with a small-array heuristic
   that keeps node-sized arrays on list columns where numpy's per-call

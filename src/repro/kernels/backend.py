@@ -2,7 +2,8 @@
 
 Join execution has two paths, selected by ``REPRO_KERNELS``: the scalar
 reference (``REPRO_KERNELS=0``) and the default fast path —
-construction kernels, batch traversal plans and construction replay.
+construction kernels, batch traversal plans, construction replay and
+batch z-order decomposition.
 :func:`kernels_enabled` reads the environment variable on every call.
 Reading it per call instead of caching it in a module flag keeps this
 module free of mutable state (RPR005) and lets the differential tests

@@ -13,11 +13,21 @@ join applies an exact bounding-box test afterwards). More elements mean
 a tighter cover but more index entries: the redundancy trade-off studied
 in [Ore89], exposed here as a parameter and explored by an ablation
 benchmark.
+
+The decomposition rule has two implementations here. :func:`decompose`
+refines one rectangle with a Python loop; it is the scalar reference.
+:func:`decompose_batch` runs the same refinement for many rectangles at
+once, step-synchronously over numpy columns, and returns element for
+element the same covers (see its docstring for why that is exact).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import chain
+from operator import attrgetter
+from typing import Any, NamedTuple, Sequence
+
+import numpy as np
 
 from ..errors import GeometryError
 from ..geometry import Rect
@@ -31,10 +41,21 @@ _Z_BITS = 2 * RESOLUTION
 #: The map area the curve addresses (the paper's unit square).
 MAP = Rect(0.0, 0.0, 1.0, 1.0)
 
+#: Rectangles refined together by one step loop of
+#: :func:`decompose_batch`: enough to amortise numpy dispatch, few enough
+#: to keep the working set small.
+BATCH_BLOCK = 1024
+
+_CORNERS = attrgetter("xlo", "ylo", "xhi", "yhi")
+
 
 def _spread(v: int) -> int:
-    """Spread the low 16 bits of ``v`` to the even bit positions."""
-    v &= 0xFFFF
+    """Spread the low 16 bits of ``v`` to the even bit positions.
+
+    Pure bit arithmetic, so it (and :func:`interleave`) also maps an
+    int64 numpy column elementwise, leaving the input untouched.
+    """
+    v = v & 0xFFFF
     v = (v | (v << 8)) & 0x00FF00FF
     v = (v | (v << 4)) & 0x0F0F0F0F
     v = (v | (v << 2)) & 0x33333333
@@ -180,3 +201,222 @@ def decompose(
     elements = [c.element() for c in done + partial]
     elements.sort()
     return elements
+
+
+# --------------------------------------------------------------------- #
+# Batch decomposition
+# --------------------------------------------------------------------- #
+
+class ZCover(NamedTuple):
+    """The element covers of a batch of rectangles, as flat columns.
+
+    Row ``i`` is the element ``(zlo[i], zhi[i])`` of input rectangle
+    ``owner[i]``. Rows are grouped by owner in input order and sorted by
+    ``zlo`` within one owner, so each rectangle's rows are the list
+    :func:`decompose` returns for it. A rectangle that misses the map
+    owns no rows; ``size`` is the number of input rectangles.
+    """
+
+    owner: np.ndarray
+    zlo: np.ndarray
+    zhi: np.ndarray
+    size: int
+
+    def lists(self) -> list[list[ZElement]]:
+        """One element list per input rectangle, as :func:`decompose`."""
+        out: list[list[ZElement]] = [[] for _ in range(self.size)]
+        for i, zlo, zhi in zip(self.owner.tolist(), self.zlo.tolist(),
+                               self.zhi.tolist()):
+            out[i].append(ZElement(zlo, zhi))
+        return out
+
+
+def decompose_batch(
+    rects: Sequence[Rect],
+    max_elements: int = 4,
+    map_area: Rect = MAP,
+) -> ZCover:
+    """:func:`decompose` for every rectangle of ``rects`` at once.
+
+    The result holds, rectangle by rectangle, exactly the elements
+    ``[decompose(r, max_elements, map_area) for r in rects]`` would
+    return; only the coordinates go into numpy, the rectangles stay
+    Python objects. The refinement runs step-synchronously over blocks
+    of :data:`BATCH_BLOCK` rectangles: in one step, every rectangle still
+    refining splits the cell at the front of its queue, or stops for
+    good. That is exact for two reasons:
+
+    * the scalar loop is FIFO. It refines the first cell of ``partial``
+      after a stable sort by depth, and ``partial`` is already in depth
+      order: the front cell has the smallest depth ``d``, every queued
+      cell has depth ``d`` or ``d + 1``, and its children (depth
+      ``d + 1``) join at the back. The sort never moves a cell, so the
+      front of a FIFO queue per rectangle is the cell the scalar loop
+      picks;
+    * each rectangle's output is sorted by ``zlo``, so the order in
+      which the batch finds its cells does not matter.
+
+    The child tests use ``_Cell.rect``'s float expressions term for
+    term and the stop rule is the scalar one — depth at
+    :data:`RESOLUTION`, or a split that would exceed ``max_elements`` —
+    so each rectangle makes the same decisions in the same order.
+    """
+    if max_elements < 1:
+        raise GeometryError("max_elements must be at least 1")
+    n = len(rects)
+    coords = np.fromiter(
+        chain.from_iterable(map(_CORNERS, rects)), np.float64, 4 * n,
+    ).reshape(n, 4)
+    eps_x = map_area.width / (1 << RESOLUTION)
+    eps_y = map_area.height / (1 << RESOLUTION)
+    # The dilated rectangle's intersection with the map, with
+    # Rect.intersection's own comparisons.
+    dxlo = coords[:, 0] - eps_x
+    dylo = coords[:, 1] - eps_y
+    dxhi = coords[:, 2] + eps_x
+    dyhi = coords[:, 3] + eps_y
+    xlo = np.where(dxlo >= map_area.xlo, dxlo, map_area.xlo)
+    ylo = np.where(dylo >= map_area.ylo, dylo, map_area.ylo)
+    xhi = np.where(dxhi <= map_area.xhi, dxhi, map_area.xhi)
+    yhi = np.where(dyhi <= map_area.yhi, dyhi, map_area.yhi)
+    meets_map = np.flatnonzero(~((xlo > xhi) | (ylo > yhi)))
+
+    owners: list[np.ndarray] = []
+    zlos: list[np.ndarray] = []
+    zhis: list[np.ndarray] = []
+    for start in range(0, meets_map.size, BATCH_BLOCK):
+        block = meets_map[start:start + BATCH_BLOCK]
+        owner, x, y, depth = _refine_block(
+            xlo[block], ylo[block], xhi[block], yhi[block],
+            max_elements, map_area,
+        )
+        zlo: Any = interleave(x, y)     # elementwise on int64 columns
+        zhi = zlo + (np.left_shift(1, 2 * (RESOLUTION - depth)) - 1)
+        order = np.lexsort((zlo, owner))
+        owners.append(block[owner[order]])
+        zlos.append(zlo[order])
+        zhis.append(zhi[order])
+    if not owners:
+        empty = np.empty(0, dtype=np.int64)
+        return ZCover(empty, empty, empty, n)
+    return ZCover(np.concatenate(owners), np.concatenate(zlos),
+                  np.concatenate(zhis), n)
+
+
+def _refine_block(
+    xlo: Any, ylo: Any, xhi: Any, yhi: Any, max_elements: int, map_area: Rect,
+) -> tuple[Any, Any, Any, Any]:
+    """:func:`decompose`'s refinement for a block of clipped rectangles.
+
+    Returns ``(owner, x, y, depth)`` of every final cell, unsorted, with
+    ``owner`` indexing the block. One pass of the loop is one pass of
+    the scalar ``while`` loop for every rectangle still refining. Each
+    rectangle's ``partial`` queue is a linked list over shared cell
+    columns (``head``/``tail``/``nxt``); ``alive`` marks the cells not
+    yet split, which are the partial cells left when refinement stops.
+    """
+    n = len(xlo)
+    mx, my = map_area.xlo, map_area.ylo
+    scale_x = map_area.width / (1 << RESOLUTION)
+    scale_y = map_area.height / (1 << RESOLUTION)
+    root = _Cell(0, 0, 0).rect(map_area)
+    whole = ((xlo <= root.xlo) & (ylo <= root.ylo)
+             & (root.xhi <= xhi) & (root.yhi <= yhi))
+    origin = np.zeros(int(whole.sum()), dtype=np.int64)
+    done = [(np.flatnonzero(whole), origin, origin, origin)]
+    n_done = whole.astype(np.int64)
+    n_part = 1 - n_done
+
+    act = np.flatnonzero(~whole)        # rectangles still refining
+    used = act.size                     # cell slots handed out
+    cap = 4 * used + 16
+    qown = np.zeros(cap, dtype=np.int64)
+    qx = np.zeros(cap, dtype=np.int64)
+    qy = np.zeros(cap, dtype=np.int64)
+    qd = np.zeros(cap, dtype=np.int64)
+    nxt = np.full(cap, -1, dtype=np.int64)
+    alive = np.zeros(cap, dtype=bool)
+    qown[:used] = act
+    alive[:used] = True
+    head = np.full(n, -1, dtype=np.int64)
+    head[act] = np.arange(used)
+    tail = head.copy()
+
+    while act.size:
+        front = head[act]
+        depth = qd[front]
+        deep = depth >= RESOLUTION
+        if deep.any():
+            act, front, depth = act[~deep], front[~deep], depth[~deep]
+        # The four children of each front cell, in _Cell.children order,
+        # and their rectangles with _Cell.rect's float expressions.
+        fx = qx[front]
+        fy = qy[front]
+        half = np.left_shift(1, RESOLUTION - 1 - depth)
+        kx = np.stack((fx, fx + half, fx, fx + half), axis=1)
+        ky = np.stack((fy, fy, fy + half, fy + half), axis=1)
+        size = half[:, None]
+        kxlo = mx + kx * scale_x
+        kylo = my + ky * scale_y
+        kxhi = mx + (kx + size) * scale_x
+        kyhi = my + (ky + size) * scale_y
+        rxlo = xlo[act, None]
+        rylo = ylo[act, None]
+        rxhi = xhi[act, None]
+        ryhi = yhi[act, None]
+        hit = (kxlo <= rxhi) & (rxlo <= kxhi) & (kylo <= ryhi) & (rylo <= kyhi)
+        inside = (hit & (rxlo <= kxlo) & (rylo <= kylo)
+                  & (kxhi <= rxhi) & (kyhi <= ryhi))
+        # The budget: a rectangle whose split would not fit stops.
+        fits = n_done[act] + n_part[act] - 1 + hit.sum(axis=1) <= max_elements
+        if not fits.all():
+            act, front, depth = act[fits], front[fits], depth[fits]
+            kx, ky, hit, inside = kx[fits], ky[fits], hit[fits], inside[fits]
+        # Pop the front cell; children inside the rectangle are final.
+        alive[front] = False
+        head[act] = nxt[front]
+        n_part[act] -= 1
+        rows, cols = np.nonzero(inside)
+        if rows.size:
+            done.append((act[rows], kx[rows, cols], ky[rows, cols],
+                         depth[rows] + 1))
+            n_done[act] += inside.sum(axis=1)
+        # The others join the back of the queue in child order: each
+        # rectangle's new cells take consecutive slots, chained to each
+        # other and behind the rectangle's old tail.
+        edge = hit & ~inside
+        rows, cols = np.nonzero(edge)
+        k = rows.size
+        if k:
+            if used + k > cap:
+                cap = max(2 * cap, used + k)
+                qown, qx, qy, qd, nxt = (
+                    np.resize(a, cap) for a in (qown, qx, qy, qd, nxt)
+                )
+                alive = np.resize(alive, cap)
+            new = np.arange(used, used + k)
+            qown[new] = act[rows]
+            qx[new] = kx[rows, cols]
+            qy[new] = ky[rows, cols]
+            qd[new] = depth[rows] + 1
+            alive[new] = True
+            nxt[new] = new + 1
+            count = edge.sum(axis=1)
+            grew = count > 0
+            owner = act[grew]
+            count = count[grew]
+            last = used + np.cumsum(count) - 1
+            first = last - count + 1
+            nxt[last] = -1
+            was_empty = head[owner] < 0
+            head[owner[was_empty]] = first[was_empty]
+            nxt[tail[owner[~was_empty]]] = first[~was_empty]
+            tail[owner] = last
+            n_part[owner] += count
+            used += k
+        act = act[head[act] >= 0]
+
+    left = np.flatnonzero(alive[:used])
+    done.append((qown[left], qx[left], qy[left], qd[left]))
+    owner, x, y, depth = (np.concatenate(col) for col in zip(*done))
+    return owner, x, y, depth

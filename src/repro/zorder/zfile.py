@@ -10,22 +10,36 @@ z-order, written with one sequential sweep and scanned with another.
 An entry costs 8 bytes of z-interval, a 16-byte bounding box (kept for
 the exact post-merge test) and a 4-byte oid = 28 bytes, so a 512 B page
 holds 17 entries and a 1 KiB page 35.
+
+Building a z-file has two paths behind ``REPRO_KERNELS``. The fast path
+decomposes every rectangle at once (:func:`~repro.zorder.curve
+.decompose_batch`) and orders the elements with one stable
+``np.lexsort``; ``REPRO_KERNELS=0`` runs the scalar reference, one
+:func:`~repro.zorder.curve.decompose` call per rectangle and a list
+sort. Both write the same entries in the same order on the same pages.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from ..config import SystemConfig
 from ..errors import WorkloadError
 from ..geometry import Rect
+from ..kernels import kernels_enabled
 from ..storage import Page, PageKind
 from ..storage.datafile import DataEntry
 from ..storage.disk import DiskSimulator
-from .curve import ZElement, decompose
+from .curve import ZElement, decompose, decompose_batch
 
 #: Per-entry bytes: z-interval (8) + bbox (16) + oid (4).
 ENTRY_BYTES = 28
+
+#: Sorted elements turned into ZEntry objects per ``tolist`` call on the
+#: fast path, which bounds the temporary Python lists.
+ENTRY_CHUNK = 4096
 
 
 class ZEntry(NamedTuple):
@@ -82,14 +96,20 @@ class ZFile:
         The in-memory sort is CPU work (Orenstein's method would bulk-load
         a B+-tree); the I/O charged is the single sequential write of the
         sorted run, at whatever phase is active on the metrics collector.
+        Entries are ordered by ``(zlo, -zhi)``, ties in input order.
         """
-        z_entries: list[ZEntry] = []
-        num_objects = 0
-        for rect, oid in entries:
-            num_objects += 1
-            for element in decompose(rect, max_elements=max_elements):
-                z_entries.append(ZEntry(element, rect, oid))
-        z_entries.sort(key=lambda e: (e.element.zlo, -e.element.zhi))
+        if kernels_enabled():
+            rows = list(entries)
+            z_entries = _sorted_entries_batch(rows, max_elements)
+            num_objects = len(rows)
+        else:
+            z_entries = []
+            num_objects = 0
+            for rect, oid in entries:
+                num_objects += 1
+                for element in decompose(rect, max_elements=max_elements):
+                    z_entries.append(ZEntry(element, rect, oid))
+            z_entries.sort(key=lambda e: (e.element.zlo, -e.element.zhi))
 
         capacity = cls.page_capacity(config)
         if capacity < 1:
@@ -130,3 +150,29 @@ class ZFile:
             f"ZFile({label} objects={self.num_objects}, "
             f"entries={self.num_entries}, pages={self.num_pages})"
         )
+
+
+def _sorted_entries_batch(
+    rows: list[DataEntry], max_elements: int
+) -> list[ZEntry]:
+    """The scalar path's sorted entry list, from one batch decomposition.
+
+    The scalar path appends each object's elements (sorted by ``zlo``)
+    in input order and then sorts stably by ``(zlo, -zhi)``, so ties
+    between objects stay in input order: one stable ``np.lexsort`` on
+    ``(zlo, -zhi, input position)`` is the same order. Rectangles and
+    oids stay the input's Python objects; only coordinates and z-values
+    pass through numpy.
+    """
+    cover = decompose_batch([rect for rect, _ in rows], max_elements)
+    order = np.lexsort((cover.owner, -cover.zhi, cover.zlo))
+    z_entries: list[ZEntry] = []
+    add = z_entries.append
+    for start in range(0, order.size, ENTRY_CHUNK):
+        take = order[start:start + ENTRY_CHUNK]
+        for zlo, zhi, i in zip(cover.zlo[take].tolist(),
+                               cover.zhi[take].tolist(),
+                               cover.owner[take].tolist()):
+            rect, oid = rows[i]
+            add(ZEntry(ZElement(zlo, zhi), rect, oid))
+    return z_entries

@@ -27,9 +27,11 @@ import pytest
 
 import repro.join.batch as join_batch
 import repro.kernels.batch as kernel_batch
+import repro.zorder.curve as zcurve
 from repro.config import SystemConfig
 from repro.geometry import Rect
 from repro.join import spatial_join
+from repro.kernels.node_store import ColumnTree
 from repro.parallel import PublishedDataset, TileJob, TileRunner
 from repro.parallel.worker import unpack_outcome
 from repro.partition import summed_summary
@@ -121,18 +123,25 @@ SUMMARY_FIELDS = (
 )
 
 #: The fast path's two layers, as the legs spy on them: the geometry
-#: kernels (construction, NAIVE's filter) and the batch match phases.
-#: The workload generator's kernel runs on both paths and is left out.
-GEOMETRY_KERNELS = tuple(
-    getattr(kernel_batch, name) for name in kernel_batch.__all__
-    if name != "clipped_area_total"
+#: kernels (construction, NAIVE's filter, ZJOIN's batch decomposition)
+#: and the batch match phases. The workload generator's kernel runs on
+#: both paths and is left out.
+BATCH_DECOMPOSE = zcurve.decompose_batch
+GEOMETRY_KERNELS = (
+    *(getattr(kernel_batch, name) for name in kernel_batch.__all__
+      if name != "clipped_area_total"),
+    BATCH_DECOMPOSE,
 )
 BATCH_PHASES = (join_batch.match_trees_batch, join_batch.window_join_batch)
 
-#: Which methods reach each layer on the fast path. ZJOIN reaches
-#: neither: its z-order merge has a single implementation.
-KERNEL_METHODS = ("RTJ", "STJ", "NAIVE", "2STJ")
+#: Which methods reach each layer on the fast path. ZJOIN's kernel is
+#: the batch decomposition that builds both of its z-files; its merge
+#: has a single implementation.
+KERNEL_METHODS = ("RTJ", "STJ", "NAIVE", "2STJ", "ZJOIN")
 BATCH_METHODS = ("BFJ", "RTJ", "STJ", "2STJ")
+
+#: The scalar decomposition, which only ZJOIN's scalar leg may call.
+SCALAR_DECOMPOSE = zcurve.decompose
 
 
 def _kernel_workload(seed: int):
@@ -182,8 +191,9 @@ def _fast_and_scalar(method: str, run, monkeypatch, count_calls):
     scalar reference (``=0``), each leg proving which path its joins
     took: counting begins when ``run`` calls ``start()`` after set-up,
     and the fast leg calls into exactly the layers ``method`` reaches,
-    the scalar leg into neither."""
-    calls = count_calls(*GEOMETRY_KERNELS, *BATCH_PHASES)
+    the scalar leg into neither (ZJOIN's scalar leg calls the scalar
+    ``decompose`` instead)."""
+    calls = count_calls(*GEOMETRY_KERNELS, *BATCH_PHASES, SCALAR_DECOMPOSE)
     legs = []
     for kernels in ("1", "0"):
         monkeypatch.setenv("REPRO_KERNELS", kernels)
@@ -195,6 +205,16 @@ def _fast_and_scalar(method: str, run, monkeypatch, count_calls):
             f"REPRO_KERNELS={kernels}: {method} made calls {dict(calls)}"
         )
         assert ran_batch == (fast and method in BATCH_METHODS), (
+            f"REPRO_KERNELS={kernels}: {method} made calls {dict(calls)}"
+        )
+        # ZJOIN builds its z-files with exactly one decomposition: the
+        # batch one on the fast leg, the per-rectangle one on the scalar.
+        ran_batch_decompose = calls[BATCH_DECOMPOSE.__name__] > 0
+        ran_scalar_decompose = calls[SCALAR_DECOMPOSE.__name__] > 0
+        assert ran_batch_decompose == (fast and method == "ZJOIN"), (
+            f"REPRO_KERNELS={kernels}: {method} made calls {dict(calls)}"
+        )
+        assert ran_scalar_decompose == (not fast and method == "ZJOIN"), (
             f"REPRO_KERNELS={kernels}: {method} made calls {dict(calls)}"
         )
     return legs
@@ -330,6 +350,71 @@ def test_kernels_bit_identical_in_parallel(monkeypatch, count_calls):
 
     fast, scalar = _fast_and_scalar("STJ", run, monkeypatch, count_calls)
     _assert_legs_agree(fast, scalar)
+
+
+#: Oid layouts the fast path cannot pack as int64: both sides beyond
+#: it (T_R from 2**63, D_S from 2**64), and only the probe side.
+WIDE_OIDS = {"both-sides": (2**63, 2**64), "probe-side": (0, 2**64)}
+
+
+def _wide_workload(oid_r: int, oid_s: int):
+    """300 T_R objects (a tree deep enough for two seed levels) and 200
+    D_S objects, numbered from the given oids."""
+    d_r = generate_clustered(ClusteredConfig(
+        300, cover_quotient=2.0, objects_per_cluster=11,
+        data_side_bound=0.06, seed=905, oid_start=oid_r,
+    ))
+    d_s = generate_clustered(ClusteredConfig(
+        200, cover_quotient=2.0, objects_per_cluster=7,
+        data_side_bound=0.06, seed=955, oid_start=oid_s,
+    ))
+    return d_r, d_s
+
+
+@pytest.mark.parametrize("layout", tuple(WIDE_OIDS))
+@pytest.mark.parametrize(
+    "method", ("BFJ", "RTJ", "STJ1-2N", "2STJ", "ZJOIN", "NAIVE"),
+)
+def test_oids_beyond_int64_match_scalar(method, layout, monkeypatch):
+    """Oids beyond int64 do not fit the fast path's packed snapshots and
+    plan keys: the join falls back to the scalar path instead of raising
+    OverflowError, and agrees with REPRO_KERNELS=0 exactly."""
+    d_r, d_s = _wide_workload(*WIDE_OIDS[layout])
+    legs = []
+    for kernels in ("1", "0"):
+        monkeypatch.setenv("REPRO_KERNELS", kernels)
+        legs.append(_run_sequential(method, d_r, d_s))
+    fast, scalar = legs
+    assert fast[0], "workload produced no pairs"
+    assert max(oid for oid, _ in fast[0]) >= 2**64
+    _assert_legs_agree(fast, scalar)
+
+
+def test_unpackable_tree_is_packed_once_per_version(monkeypatch):
+    """A T_R whose oids do not fit int64 is found out where the fast
+    path packs it, once per tree version: re-joins reuse the cached
+    answer instead of rescanning the tree's oids."""
+    builds = []
+    build = ColumnTree.build.__func__
+
+    def counted(cls, *args, **kwargs):
+        builds.append(args[1])
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ColumnTree, "build", classmethod(counted))
+    monkeypatch.setenv("REPRO_KERNELS", "1")
+    d_r, d_s = _wide_workload(2**63, 0)
+    ws = Workspace(CFG)
+    tree_r = ws.install_rtree(d_r)
+    file_s = ws.install_datafile(d_s)
+    for _ in range(3):
+        ws.start_measurement()
+        result = spatial_join(
+            file_s, tree_r, ws.buffer, ws.config, ws.metrics, method="BFJ",
+        )
+        assert result.pairs
+    assert builds == [tree_r.root_id]
+    assert join_batch.column_tree_of(tree_r) is None
 
 
 # --------------------------------------------------------------------- #

@@ -1,17 +1,21 @@
 """Tests for the Z curve and quadtree decomposition."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry import Rect
+from repro.zorder import curve
 from repro.zorder.curve import (
     MAP,
     RESOLUTION,
     ZElement,
     _Cell,
     decompose,
+    decompose_batch,
     interleave,
     z_point,
 )
@@ -129,6 +133,8 @@ class TestDecompose:
     def test_bad_budget_rejected(self):
         with pytest.raises(GeometryError):
             decompose(Rect(0, 0, 1, 1), max_elements=0)
+        with pytest.raises(GeometryError):
+            decompose_batch([Rect(0, 0, 1, 1)], max_elements=0)
 
 
 def coord():
@@ -160,3 +166,67 @@ def test_touching_rects_share_an_element_overlap(x, y, w, h):
     a = decompose(left, max_elements=16)
     b = decompose(right, max_elements=16)
     assert any(ea.overlaps(eb) for ea in a for eb in b)
+
+
+# --------------------------------------------------------------------- #
+# Batch decomposition parity
+# --------------------------------------------------------------------- #
+
+#: Map areas for the parity test: the unit square, and two others whose
+#: grid units are not powers of two of the unit.
+PARITY_MAPS = (MAP, Rect(-3.0, 2.0, 5.0, 2.5), Rect(0, 0, 1000, 1000))
+
+
+@st.composite
+def parity_rects(draw, map_area: Rect):
+    """Rectangles that stress the cell tests: corners on a 1/64 grid of
+    the map (edges land on cell edges, where closed tests decide which
+    children survive) or on the curve's own 1/65536 grid, points, and
+    rectangles partly or wholly outside the map or covering all of it."""
+    kind = draw(st.sampled_from(("grid", "point", "whole", "outside")))
+    if kind == "whole":
+        grow = draw(st.sampled_from((0.0, 0.5)))
+        return Rect(map_area.xlo - grow * map_area.width,
+                    map_area.ylo - grow * map_area.height,
+                    map_area.xhi + grow * map_area.width,
+                    map_area.yhi + grow * map_area.height)
+    steps = draw(st.sampled_from((64, 1 << RESOLUTION)))
+    lo, hi = (-steps // 4, steps + steps // 4)
+    if kind == "outside":
+        lo, hi = steps + 2, 2 * steps
+    ticks = st.integers(lo, hi)
+
+    def at(tick: int, origin: float, extent: float) -> float:
+        return origin + tick / steps * extent
+
+    x1, y1 = draw(ticks), draw(ticks)
+    x2, y2 = (x1, y1) if kind == "point" else (draw(ticks), draw(ticks))
+    xlo, xhi = sorted((x1, x2))
+    ylo, yhi = sorted((y1, y2))
+    return Rect(at(xlo, map_area.xlo, map_area.width),
+                at(ylo, map_area.ylo, map_area.height),
+                at(xhi, map_area.xlo, map_area.width),
+                at(yhi, map_area.ylo, map_area.height))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_decompose_batch_equals_scalar(data):
+    """Element for element, ``decompose_batch`` is the scalar loop run
+    per rectangle — at every budget, on any map area, across block
+    boundaries (the block size is shrunk to split small batches)."""
+    map_area = data.draw(st.sampled_from(PARITY_MAPS), label="map_area")
+    rects = data.draw(st.lists(parity_rects(map_area), max_size=12),
+                      label="rects")
+    budget = data.draw(st.integers(1, 64), label="max_elements")
+    block = data.draw(st.sampled_from((1, 5, curve.BATCH_BLOCK)),
+                      label="block")
+    with mock.patch.object(curve, "BATCH_BLOCK", block):
+        batch = decompose_batch(rects, budget, map_area)
+    assert batch.size == len(rects)
+    assert batch.lists() == [decompose(r, budget, map_area) for r in rects]
+
+
+def test_decompose_batch_of_nothing():
+    batch = decompose_batch([])
+    assert batch.size == 0 and batch.lists() == []
