@@ -34,7 +34,13 @@ from ..seeded import CopyStrategy, UpdatePolicy
 from ..storage import BufferPool, DataFile, RecoveryPolicy
 from ..zorder.zfile import ZFile
 from .bfj import brute_force_join
-from .engine import ExecutionContext, JoinPhase, JoinPipeline, ParallelExecutor
+from .engine import (
+    ExecutionContext,
+    ExecutionMode,
+    JoinPhase,
+    JoinPipeline,
+    ParallelExecutor,
+)
 from .naive import naive_pipeline
 from .result import JoinResult
 from .rtj import rtree_join
@@ -115,12 +121,12 @@ def _naive_join(
     metrics: MetricsCollector,
     data_r: DataFile | None,
     trace: JoinTrace | None,
-    sanitize: bool | None = None,
+    mode: ExecutionMode | None = None,
 ) -> JoinResult:
     ctx = ExecutionContext(
         data_s=data_s, metrics=metrics, tree_r=tree_r, trace=trace,
         options={"data_r": _indexed_side_entries(tree_r, data_r)},
-        sanitize=sanitize,
+        mode=mode,
     )
     return naive_pipeline("NAIVE").execute(ctx)
 
@@ -134,6 +140,7 @@ def _prepare_zfile_r(ctx: ExecutionContext) -> None:
     ctx.options["zfile_r"] = ZFile.build(
         ctx.buffer.disk, ctx.config, entries,
         max_elements=ctx.options["max_elements"], name="Z_R",
+        fast=ctx.mode.fast,
     )
 
 
@@ -145,7 +152,7 @@ def _zorder_join(
     metrics: MetricsCollector,
     data_r: DataFile | None,
     trace: JoinTrace | None,
-    sanitize: bool | None = None,
+    mode: ExecutionMode | None = None,
     max_elements: int = 4,
 ) -> JoinResult:
     # The indexed side has an R-tree but no z-file, so a prepare phase
@@ -158,7 +165,7 @@ def _zorder_join(
         data_s=data_s, metrics=metrics, tree_r=tree_r, buffer=buffer,
         config=config, trace=trace,
         options={"data_r": data_r, "max_elements": max_elements},
-        sanitize=sanitize,
+        mode=mode,
     )
     return pipeline.execute(ctx)
 
@@ -184,7 +191,7 @@ def _two_seeded_from_facade(
     metrics: MetricsCollector,
     data_r: DataFile | None,
     trace: JoinTrace | None,
-    sanitize: bool | None = None,
+    mode: ExecutionMode | None = None,
     *,
     seeds: str = "grid",
     grid_cells: int = 16,
@@ -215,7 +222,7 @@ def _two_seeded_from_facade(
             "split": split if split is not None else quadratic_split,
             "sample_seed": sample_seed,
         },
-        sanitize=sanitize,
+        mode=mode,
     )
     return pipeline.execute(ctx)
 
@@ -245,41 +252,60 @@ def _canonical_parallel_method(
     return "STJ", options, variant.name
 
 
-def _parallel_join(
-    upper: str,
+def _sequential_join(
+    method: str,
     data_s: DataFile,
     tree_r: RTree,
+    buffer: BufferPool,
     config: SystemConfig,
     metrics: MetricsCollector,
-    workers: int,
-    partitions: int | None,
-    parallel_seed: int,
+    mode: ExecutionMode,
     recovery: RecoveryPolicy | None,
-    join_trace: JoinTrace | None,
+    trace: JoinTrace | None,
     data_r: DataFile | None,
-    sanitize: bool | None,
-    parallel_guard: bool | None,
-    parallel_start_method: str | None,
     method_options: dict,
 ) -> JoinResult:
-    worker_method, options, label = _canonical_parallel_method(
-        upper, method_options
+    """Dispatch one single-substrate join, run wholly in ``mode``: for
+    :func:`spatial_join`, and for each tile of a parallel join."""
+    upper = method.strip().upper()
+    if upper == "BFJ":
+        return brute_force_join(data_s, tree_r, metrics, trace=trace,
+                                mode=mode)
+    if upper == "RTJ":
+        return rtree_join(data_s, tree_r, buffer, config, metrics,
+                          recovery=recovery, trace=trace, mode=mode)
+    if upper == "NAIVE":
+        return _naive_join(data_s, tree_r, metrics, data_r, trace, mode=mode)
+    if upper == "ZJOIN":
+        return _zorder_join(data_s, tree_r, buffer, config, metrics,
+                            data_r, trace, mode=mode, **method_options)
+    if upper == "2STJ":
+        return _two_seeded_from_facade(
+            data_s, tree_r, buffer, config, metrics, data_r, trace,
+            mode=mode, **method_options,
+        )
+    if upper == "STJ":
+        return seeded_tree_join(
+            data_s, tree_r, buffer, config, metrics,
+            recovery=recovery, trace=trace, mode=mode, **method_options,
+        )
+    variant = STJVariant.parse(upper)
+    result = seeded_tree_join(
+        data_s, tree_r, buffer, config, metrics,
+        copy_strategy=variant.copy_strategy,
+        update_policy=variant.update_policy,
+        seed_levels=variant.seed_levels,
+        filtering=variant.filtering,
+        recovery=recovery,
+        trace=trace,
+        mode=mode,
+        **method_options,
     )
-    executor = ParallelExecutor(
-        method=worker_method,
-        config=config,
-        workers=workers,
-        partitions=partitions,
-        options=options,
-        seed=parallel_seed,
-        label=label,
-        start_method=parallel_start_method,
-        guard=parallel_guard,
-    )
-    return executor.run(
-        data_s, tree_r, metrics, trace=join_trace, data_r=data_r,
-        recovery=recovery, sanitize=sanitize,
-    )
+    if not result.degraded:
+        result.algorithm = variant.name
+    else:
+        result.fallback_from = variant.name
+    return result
 
 
 def spatial_join(
@@ -351,55 +377,32 @@ def spatial_join(
     off, and ``None`` (the default) defers to the ``REPRO_SANITIZE``
     environment variable. All checks run through unaccounted paths, so
     the returned cost summary is bit-identical either way.
+
+    The join reads ``REPRO_KERNELS`` and ``REPRO_SANITIZE`` once, here,
+    and runs wholly in that :class:`~repro.join.engine.ExecutionMode`.
     """
-    upper = method.strip().upper()
+    mode = ExecutionMode.from_env(sanitize)
     join_trace = _make_trace(trace, metrics, buffer)
-    if workers is not None or partitions is not None:
-        return _parallel_join(
-            upper, data_s, tree_r, config, metrics,
-            workers if workers is not None else 1, partitions,
-            parallel_seed, recovery, join_trace, data_r, sanitize,
-            parallel_guard, parallel_start_method, method_options,
+    if workers is None and partitions is None:
+        return _sequential_join(
+            method, data_s, tree_r, buffer, config, metrics, mode, recovery,
+            join_trace, data_r, method_options,
         )
-    if upper == "BFJ":
-        return brute_force_join(data_s, tree_r, metrics, trace=join_trace,
-                                sanitize=sanitize)
-    if upper == "RTJ":
-        return rtree_join(data_s, tree_r, buffer, config, metrics,
-                          recovery=recovery, trace=join_trace,
-                          sanitize=sanitize)
-    if upper == "NAIVE":
-        return _naive_join(data_s, tree_r, metrics, data_r, join_trace,
-                           sanitize=sanitize)
-    if upper == "ZJOIN":
-        return _zorder_join(data_s, tree_r, buffer, config, metrics,
-                            data_r, join_trace, sanitize=sanitize,
-                            **method_options)
-    if upper == "2STJ":
-        return _two_seeded_from_facade(
-            data_s, tree_r, buffer, config, metrics, data_r, join_trace,
-            sanitize=sanitize, **method_options,
-        )
-    if upper == "STJ":
-        return seeded_tree_join(
-            data_s, tree_r, buffer, config, metrics,
-            recovery=recovery, trace=join_trace, sanitize=sanitize,
-            **method_options,
-        )
-    variant = STJVariant.parse(upper)
-    result = seeded_tree_join(
-        data_s, tree_r, buffer, config, metrics,
-        copy_strategy=variant.copy_strategy,
-        update_policy=variant.update_policy,
-        seed_levels=variant.seed_levels,
-        filtering=variant.filtering,
-        recovery=recovery,
-        trace=join_trace,
-        sanitize=sanitize,
-        **method_options,
+    worker_method, options, label = _canonical_parallel_method(
+        method.strip().upper(), method_options
     )
-    if not result.degraded:
-        result.algorithm = variant.name
-    else:
-        result.fallback_from = variant.name
-    return result
+    executor = ParallelExecutor(
+        method=worker_method,
+        config=config,
+        workers=workers if workers is not None else 1,
+        partitions=partitions,
+        options=options,
+        seed=parallel_seed,
+        label=label,
+        start_method=parallel_start_method,
+        guard=parallel_guard,
+    )
+    return executor.run(
+        data_s, tree_r, metrics, trace=join_trace, data_r=data_r,
+        recovery=recovery, mode=mode,
+    )

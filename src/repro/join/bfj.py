@@ -18,29 +18,28 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from ..kernels import kernels_enabled
 from ..metrics import MetricsCollector, Phase
 from ..metrics.tracing import JoinTrace
 from ..rtree import RTree
+from ..rtree.query import window_query
 from ..storage import DataFile
 from ..storage.datafile import DataEntry
 from .batch import window_join_batch
-from .engine import ExecutionContext, JoinPhase, JoinPipeline
+from .engine import ExecutionContext, ExecutionMode, JoinPhase, JoinPipeline
 from .result import JoinPair, JoinResult
 
 
 def _window_queries(rows: Iterable[DataEntry], tree_r: Any) -> list[JoinPair]:
-    """The scalar reference: one window query per D_S rectangle. Passing
-    the toggle spares thousands of per-query environment reads."""
+    """The scalar reference: one window query per D_S rectangle."""
     pairs = []
     for rect, oid_s in rows:
-        for oid_r in tree_r.window_query(rect, use_kernels=False):
+        for oid_r in window_query(tree_r, rect, False):
             pairs.append((oid_s, oid_r))
     return pairs
 
 
 def _match(ctx: ExecutionContext) -> None:
-    if kernels_enabled():
+    if ctx.mode.fast:
         # The scan is materialised first — the scalar loop charges every
         # run read on its first iteration anyway. All window queries then
         # descend the columnar snapshot together; the replay fetches the
@@ -68,11 +67,11 @@ def brute_force_join(
     tree_r: RTree,
     metrics: MetricsCollector,
     trace: JoinTrace | None = None,
-    sanitize: bool | None = None,
+    mode: ExecutionMode | None = None,
 ) -> JoinResult:
     """Join ``data_s`` with the data indexed by ``tree_r`` via window queries."""
     ctx = ExecutionContext(
         data_s=data_s, metrics=metrics, tree_r=tree_r, trace=trace,
-        sanitize=sanitize,
+        mode=mode,
     )
     return bfj_pipeline().execute(ctx)

@@ -30,7 +30,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..analysis.sanitizer import Sanitizer, resolve_sanitizer
+from ..analysis.sanitizer import Sanitizer, sanitizer_enabled
 from ..config import SystemConfig
 from ..errors import (
     ExperimentError,
@@ -41,6 +41,7 @@ from ..errors import (
     StorageError,
 )
 from ..geometry import Rect
+from ..kernels import kernels_enabled
 from ..metrics import CollectorSnapshot, MetricsCollector, Phase
 from ..metrics.tracing import JoinTrace, TraceSpan, shift_span_times
 from ..partition import (
@@ -56,6 +57,7 @@ from .result import JoinResult, ParallelDecision
 
 __all__ = [
     "ExecutionContext",
+    "ExecutionMode",
     "JoinPhase",
     "JoinPipeline",
     "ParallelExecutor",
@@ -68,6 +70,26 @@ __all__ = [
 PHASE_ORDER = ("prepare", "construct", "filter", "match", "cleanup")
 
 
+@dataclass(frozen=True)
+class ExecutionMode:
+    """How one join runs: ``fast`` (``REPRO_KERNELS``) picks the fast
+    path over the scalar reference, ``sanitize`` (``REPRO_SANITIZE``)
+    arms the runtime sanitizer. Read once when the join starts, then
+    passed down — on the :class:`ExecutionContext`, as a plain ``fast``
+    into the trees the join builds, and inside each pool task."""
+
+    fast: bool
+    sanitize: bool
+
+    @classmethod
+    def from_env(cls, sanitize: bool | None = None) -> "ExecutionMode":
+        """Read both switches once; an explicit ``sanitize`` wins."""
+        return cls(
+            fast=kernels_enabled(),
+            sanitize=sanitizer_enabled() if sanitize is None else sanitize,
+        )
+
+
 @dataclass
 class ExecutionContext:
     """Everything a pipeline run needs, plus scratch state between phases.
@@ -77,13 +99,12 @@ class ExecutionContext:
     to and read from — conventionally ``state["index"]`` for the
     join-time structure and ``state["pairs"]`` for the answer set.
 
-    ``sanitize`` opts into runtime invariant checking at phase
-    boundaries (:mod:`repro.analysis.sanitizer`): ``True`` forces it on,
-    ``False`` off, ``None`` defers to the ``REPRO_SANITIZE`` environment
-    variable. The engine resolves the flag to a
-    :class:`~repro.analysis.sanitizer.Sanitizer` instance on first
-    execution and keeps it on the context, so a degradation re-entry
-    continues the same counter-snapshot history.
+    ``mode`` is the join's :class:`ExecutionMode`; a context built
+    without one reads the environment once, here. When it arms the
+    sanitizer (:mod:`repro.analysis.sanitizer`) the engine creates a
+    :class:`~repro.analysis.sanitizer.Sanitizer` on first execution and
+    keeps it in ``sanitizer``, so a degradation re-entry continues the
+    same counter-snapshot history.
     """
 
     data_s: Any
@@ -95,7 +116,12 @@ class ExecutionContext:
     trace: JoinTrace | None = None
     options: dict[str, Any] = field(default_factory=dict)
     state: dict[str, Any] = field(default_factory=dict)
-    sanitize: bool | Sanitizer | None = None
+    mode: ExecutionMode = None  # type: ignore[assignment]
+    sanitizer: Sanitizer | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode is None:
+            self.mode = ExecutionMode.from_env()
 
 
 #: A phase body: mutates ``ctx.state``, returns nothing.
@@ -184,8 +210,9 @@ class JoinPipeline:
         spans, and (when enabled) runs the invariant sanitizer at every
         phase boundary.
         """
-        sanitizer = resolve_sanitizer(ctx.sanitize)
-        ctx.sanitize = sanitizer if sanitizer is not None else False
+        if ctx.sanitizer is None and ctx.mode.sanitize:
+            ctx.sanitizer = Sanitizer()
+        sanitizer = ctx.sanitizer
         if ctx.trace is not None and ctx.trace.depth == 0:
             root_cm = ctx.trace.span(self.algorithm, kind="join")
         elif ctx.trace is not None:
@@ -342,7 +369,7 @@ class _PartitionTask:
     seed: int
     want_trace: bool
     recovery: RecoveryPolicy | None = None
-    sanitize: bool | None = None
+    mode: ExecutionMode = field(default_factory=ExecutionMode.from_env)
 
     @property
     def needs_data_r(self) -> bool:
@@ -443,17 +470,18 @@ def join_on_substrate(
     task: _PartitionTask, substrate: _PartitionSubstrate
 ) -> _PartitionOutcome:
     """Run one tile's (measured) join on an already-built substrate."""
-    from .api import spatial_join
+    from .api import _make_trace, _sequential_join
 
     ws = substrate.ws
     method, options = _adapt_method(task, substrate.tree_r.height)
     ws.start_measurement()
 
     started = time.perf_counter()
-    result = spatial_join(
-        substrate.file_s, substrate.tree_r, ws.buffer, ws.config, ws.metrics,
-        method=method, recovery=task.recovery, trace=task.want_trace,
-        data_r=substrate.file_r, sanitize=task.sanitize, **options,
+    result = _sequential_join(
+        method, substrate.file_s, substrate.tree_r, ws.buffer, ws.config,
+        ws.metrics, task.mode, recovery=task.recovery,
+        trace=_make_trace(task.want_trace, ws.metrics, ws.buffer),
+        data_r=substrate.file_r, method_options=options,
     )
     wall_s = time.perf_counter() - started
 
@@ -605,9 +633,11 @@ class ParallelExecutor:
         trace: JoinTrace | None = None,
         data_r: Any | None = None,
         recovery: RecoveryPolicy | None = None,
-        sanitize: bool | None = None,
+        mode: ExecutionMode | None = None,
     ) -> JoinResult:
-        sanitizer = resolve_sanitizer(sanitize)
+        if mode is None:
+            mode = ExecutionMode.from_env()
+        sanitizer = Sanitizer() if mode.sanitize else None
         root_cm = (
             trace.span(f"parallel[{self.label}]", kind="join")
             if trace is not None
@@ -618,7 +648,7 @@ class ParallelExecutor:
             base = trace.clock() if trace is not None else 0.0
             decision = self._decide(plan)
             outcomes = self._run_plan(
-                plan, decision, trace is not None, recovery, sanitize,
+                plan, decision, trace is not None, recovery, mode,
             )
             result = self._merge(outcomes, metrics, trace, base, sanitizer)
             result.parallel_decision = decision
@@ -824,14 +854,14 @@ class ParallelExecutor:
         decision: ParallelDecision,
         want_trace: bool,
         recovery: RecoveryPolicy | None,
-        sanitize: bool | None,
+        mode: ExecutionMode,
     ) -> list[_PartitionOutcome]:
         if not decision.pooled:
             tasks = self._materialize_tasks(
-                plan, want_trace, recovery, sanitize,
+                plan, want_trace, recovery, mode,
             )
             return [run_partition_task(task) for task in tasks]
-        from ..parallel import TileJob, forwarded_env, get_default_pool
+        from ..parallel import TileJob, get_default_pool
 
         dataset = plan.dataset
         jobs = [
@@ -848,8 +878,7 @@ class ParallelExecutor:
                 seed=derive_seed(self.seed, "partition", d.tile.index),
                 want_trace=want_trace,
                 recovery=recovery,
-                sanitize=sanitize,
-                env=forwarded_env(),
+                mode=mode,
             )
             for d in plan.descriptors
         ]
@@ -861,7 +890,7 @@ class ParallelExecutor:
         plan: _ParallelPlan,
         want_trace: bool,
         recovery: RecoveryPolicy | None,
-        sanitize: bool | None,
+        mode: ExecutionMode,
     ) -> list[_PartitionTask]:
         partitioner = plan.partitioner
         if plan.shards is not None:
@@ -896,7 +925,7 @@ class ParallelExecutor:
                 seed=derive_seed(self.seed, "partition", index),
                 want_trace=want_trace,
                 recovery=recovery,
-                sanitize=sanitize,
+                mode=mode,
             )
             for index, entries_r, entries_s in sliced
         ]

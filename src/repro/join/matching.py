@@ -49,6 +49,7 @@ def match_trees(
     tree_a: Any,
     tree_b: Any,
     metrics: MetricsCollector | None = None,
+    fast: bool | None = None,
 ) -> list[JoinPair]:
     """All (ref_a, ref_b) pairs of overlapping objects in the two trees.
 
@@ -61,12 +62,14 @@ def match_trees(
     By default the whole pair tree is planned level-at-a-time over
     columnar snapshots and replayed through the buffer —
     :func:`~repro.join.batch.match_trees_batch` — with bit-identical
-    pairs, counters and I/O. ``REPRO_KERNELS=0`` runs the scalar
-    recursion below, the reference the batch path is tested against;
-    so does a join whose trees hold oids beyond int64, which the
-    snapshots cannot pack.
+    pairs, counters and I/O. ``fast=False`` runs the scalar recursion
+    below, the reference the batch path is tested against; so does a
+    join whose trees hold oids beyond int64, which the snapshots cannot
+    pack. ``fast=None`` reads ``REPRO_KERNELS`` once.
     """
-    if kernels_enabled():
+    if fast is None:
+        fast = kernels_enabled()
+    if fast:
         pairs = match_trees_batch(tree_a, tree_b, metrics)
         if pairs is not None:
             return pairs

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from ..geometry import Rect
-from ..kernels import RectArray, intersect_indices, kernels_enabled
+from ..kernels import RectArray, intersect_indices
 from ..metrics import MetricsCollector, Phase
 from .engine import ExecutionContext, JoinPhase, JoinPipeline
 from .result import JoinResult
@@ -30,7 +30,7 @@ def _entries(source: Any) -> Iterable[tuple[Rect, int]]:
 def _match(ctx: ExecutionContext) -> None:
     list_r = list(_entries(ctx.options["data_r"]))
     pairs = []
-    if kernels_enabled() and list_r:
+    if ctx.mode.fast and list_r:
         # Block-intersect through the RectArray columns: one vectorized
         # pass over the whole inner set per outer rectangle, emitting
         # hits in the same row-major order as the scalar loop. No CPU

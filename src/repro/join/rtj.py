@@ -33,7 +33,7 @@ from ..metrics.tracing import JoinTrace
 from ..rtree import RTree, RTreeCheckpointer, build_with_checkpoints
 from ..rtree.split import SplitFunction, quadratic_split
 from ..storage import BufferPool, DataFile, RecoveryPolicy
-from .engine import ExecutionContext, JoinPhase, JoinPipeline
+from .engine import ExecutionContext, ExecutionMode, JoinPhase, JoinPipeline
 from .matching import match_trees
 from .result import JoinResult
 
@@ -43,7 +43,7 @@ _TREE_NAME = "T_S(rtj)"
 def _construct(ctx: ExecutionContext) -> None:
     ctx.state["index"] = RTree.build(
         ctx.buffer, ctx.config, ctx.data_s.scan(), metrics=ctx.metrics,
-        split=ctx.options["split"], name=_TREE_NAME,
+        split=ctx.options["split"], name=_TREE_NAME, fast=ctx.mode.fast,
     )
 
 
@@ -53,7 +53,7 @@ def _construct_recoverable(
     ctx.state["index"] = build_with_checkpoints(
         ctx.buffer, ctx.config, ctx.data_s.scan(), ctx.metrics,
         checkpointer=checkpointer, resume=resume,
-        split=ctx.options["split"], name=_TREE_NAME,
+        split=ctx.options["split"], name=_TREE_NAME, fast=ctx.mode.fast,
     )
 
 
@@ -65,12 +65,14 @@ def _make_checkpointer(ctx: ExecutionContext) -> RTreeCheckpointer:
 
 
 def _load_resume(ctx: ExecutionContext, checkpointer: Any) -> Any:
-    return checkpointer.load_latest(ctx.buffer, ctx.metrics, name=_TREE_NAME)
+    return checkpointer.load_latest(
+        ctx.buffer, ctx.metrics, name=_TREE_NAME, fast=ctx.mode.fast,
+    )
 
 
 def _match(ctx: ExecutionContext) -> None:
     ctx.state["pairs"] = match_trees(
-        ctx.state["index"], ctx.tree_r, ctx.metrics
+        ctx.state["index"], ctx.tree_r, ctx.metrics, fast=ctx.mode.fast,
     )
 
 
@@ -97,13 +99,13 @@ def rtree_join(
     split: SplitFunction = quadratic_split,
     recovery: RecoveryPolicy | None = None,
     trace: JoinTrace | None = None,
-    sanitize: bool | None = None,
+    mode: ExecutionMode | None = None,
 ) -> JoinResult:
     """Build an R-tree for ``data_s`` and TM-match it against ``tree_r``."""
     ctx = ExecutionContext(
         data_s=data_s, metrics=metrics, tree_r=tree_r, buffer=buffer,
         config=config, recovery=recovery, trace=trace,
         options={"split": split},
-        sanitize=sanitize,
+        mode=mode,
     )
     return rtj_pipeline().execute(ctx)

@@ -39,14 +39,15 @@ from ..seeded import CopyStrategy, GrowCheckpointer, SeededTree, UpdatePolicy
 from ..seeded.replay import cached_construct
 from ..storage import BufferPool, DataFile, RecoveryPolicy
 from .bfj import bfj_pipeline
-from .engine import ExecutionContext, JoinPhase, JoinPipeline
+from .engine import ExecutionContext, ExecutionMode, JoinPhase, JoinPipeline
 from .matching import match_trees
 from .result import JoinResult
 
 
 def _build_tree(ctx: ExecutionContext, checkpointer: Any, salvage: Any) -> None:
     tree_s = SeededTree(
-        ctx.buffer, ctx.config, ctx.metrics, **ctx.options["tree_kwargs"]
+        ctx.buffer, ctx.config, ctx.metrics, fast=ctx.mode.fast,
+        **ctx.options["tree_kwargs"],
     )
     tree_s.seed(ctx.tree_r)
     tree_s.grow_from(ctx.data_s, checkpointer=checkpointer, resume=salvage)
@@ -75,7 +76,7 @@ def _load_resume(ctx: ExecutionContext, checkpointer: Any) -> Any:
 
 def _match(ctx: ExecutionContext) -> None:
     ctx.state["pairs"] = match_trees(
-        ctx.state["index"], ctx.tree_r, ctx.metrics
+        ctx.state["index"], ctx.tree_r, ctx.metrics, fast=ctx.mode.fast,
     )
 
 
@@ -113,7 +114,7 @@ def seeded_tree_join(
     split: SplitFunction = quadratic_split,
     recovery: RecoveryPolicy | None = None,
     trace: JoinTrace | None = None,
-    sanitize: bool | None = None,
+    mode: ExecutionMode | None = None,
 ) -> JoinResult:
     """Join ``data_s`` with ``tree_r`` by constructing a seeded tree.
 
@@ -132,6 +133,6 @@ def seeded_tree_join(
         data_s=data_s, metrics=metrics, tree_r=tree_r, buffer=buffer,
         config=config, recovery=recovery, trace=trace,
         options={"tree_kwargs": tree_kwargs},
-        sanitize=sanitize,
+        mode=mode,
     )
     return stj_pipeline().execute(ctx)

@@ -109,6 +109,7 @@ def _construct(ctx: ExecutionContext) -> None:
             use_linked_lists=opts["use_linked_lists"],
             split=opts["split"],
             name=label,
+            fast=ctx.mode.fast,
         )
         tree.seed_from_boxes(boxes)
         tree.grow_from(data)
@@ -120,7 +121,8 @@ def _construct(ctx: ExecutionContext) -> None:
 
 def _match(ctx: ExecutionContext) -> None:
     ctx.state["pairs"] = match_trees(
-        ctx.state["tree_a"], ctx.state["tree_b"], ctx.metrics
+        ctx.state["tree_a"], ctx.state["tree_b"], ctx.metrics,
+        fast=ctx.mode.fast,
     )
 
 

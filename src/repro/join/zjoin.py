@@ -100,6 +100,7 @@ def _construct(ctx: ExecutionContext) -> None:
     ctx.state["index"] = ZFile.build(
         disk, ctx.config, ctx.data_s.scan(),
         max_elements=ctx.options["max_elements"], name="Z_S",
+        fast=ctx.mode.fast,
     )
 
 

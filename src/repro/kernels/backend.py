@@ -4,11 +4,13 @@ Join execution has two paths, selected by ``REPRO_KERNELS``: the scalar
 reference (``REPRO_KERNELS=0``) and the default fast path —
 construction kernels, batch traversal plans, construction replay and
 batch z-order decomposition.
-:func:`kernels_enabled` reads the environment variable on every call.
-Reading it per call instead of caching it in a module flag keeps this
-module free of mutable state (RPR005) and lets the differential tests
-flip paths with ``monkeypatch.setenv`` — the hot paths cache the answer
-once per join run, so the per-call cost never lands in an inner loop.
+:func:`kernels_enabled` parses the environment variable on every call
+and caches nothing, which keeps this module free of mutable state
+(RPR005) and lets the differential tests flip paths with
+``monkeypatch.setenv``. Its callers read it once per operation: a join
+once, when it starts, into its
+:class:`~repro.join.engine.ExecutionMode`, which it passes down; a tree
+built outside a join once, when it is built.
 """
 
 from __future__ import annotations
@@ -29,11 +31,7 @@ def kernels_enabled() -> bool:
     ``false``, ``no``, ``off`` (case-insensitive) selects the scalar
     reference path everywhere.
     """
-    value = os.environ.get("REPRO_KERNELS")
-    if value is None or value == "1":
-        # Fast path for the two overwhelmingly common states: unset and
-        # the bench harness's explicit "1".
-        return True
+    value = os.environ.get("REPRO_KERNELS", "")
     return value.strip().lower() not in _DISABLED_VALUES
 
 

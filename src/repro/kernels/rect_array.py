@@ -218,23 +218,6 @@ class RectArray:
             self._areas = cached
         return cached
 
-    def take(self, indices: Any) -> "RectArray":
-        """The sub-array at ``indices`` (kept in the given order)."""
-        if self.is_numpy:
-            return RectArray(
-                self.xlo[indices], self.ylo[indices],
-                self.xhi[indices], self.yhi[indices],
-                is_numpy=True,
-            )
-        xlo, ylo, xhi, yhi = self.xlo, self.ylo, self.xhi, self.yhi
-        return RectArray(
-            [xlo[i] for i in indices],
-            [ylo[i] for i in indices],
-            [xhi[i] for i in indices],
-            [yhi[i] for i in indices],
-            is_numpy=False,
-        )
-
     def matches_entries(self, entries: "Sequence[Entry]") -> bool:
         """Exact coordinate equality against the entries' MBRs.
 

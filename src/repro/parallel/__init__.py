@@ -28,7 +28,7 @@ from .pool import (
     shutdown_default_pools,
 )
 from .shm import SharedInts, SharedIntsDescriptor
-from .worker import TileJob, TileRunner, forwarded_env, worker_main
+from .worker import TileJob, TileRunner, worker_main
 
 __all__ = [
     "AttachedDataset",
@@ -43,7 +43,6 @@ __all__ = [
     "WorkerPool",
     "add_invalidation_listener",
     "default_dataset_cache",
-    "forwarded_env",
     "get_default_pool",
     "remove_invalidation_listener",
     "resolve_start_method",

@@ -8,8 +8,10 @@ shutdown. All join logic is the engine's own —
 the same code path as an in-process one; the worker only adds
 what makes the pool fast: entry reconstruction from shared columns and
 a warm cache of per-tile substrates, keyed by
-``(dataset, version, grid, tile, config)`` so any change of inputs or
-physical design rebuilds rather than reuses.
+``(dataset, version, grid, tile, config, mode)`` so any change of
+inputs, physical design or execution mode rebuilds rather than reuses.
+Each task carries its join's :class:`~repro.join.engine.ExecutionMode`
+and runs in it; the worker's own environment plays no part.
 
 Replies carry :class:`~repro.join.engine._PartitionOutcome` records with
 the pair list flattened to an ``array('q')`` — half the pickle weight
@@ -18,15 +20,15 @@ of a list of tuples — which the parent pool re-inflates before merging.
 
 from __future__ import annotations
 
-import os
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..config import SystemConfig
 from ..errors import ParallelError, StaleDatasetError
 from ..join.engine import (
+    ExecutionMode,
     _PartitionOutcome,
     _PartitionTask,
     build_partition_substrate,
@@ -35,24 +37,13 @@ from ..join.engine import (
 from ..storage import RecoveryPolicy
 from .dataset import AttachedDataset, DatasetDescriptor, GridIndexDescriptor
 
-__all__ = ["TileJob", "TileRunner", "forwarded_env", "pack_outcome",
-           "unpack_outcome", "worker_main"]
+__all__ = ["TileJob", "TileRunner", "pack_outcome", "unpack_outcome",
+           "worker_main"]
 
 #: Warm substrates kept per worker before the oldest is discarded. Each
 #: substrate is a full simulated-storage world for one tile; 64 covers
 #: several concurrent benchmark datasets without unbounded growth.
 SUBSTRATE_CACHE_LIMIT = 64
-
-#: Runtime switches that must follow a task into a persistent worker.
-#: Pool workers fork once, so per-call environment reads (the execution
-#: path and sanitizer switches) would otherwise see the values from
-#: when the worker started.
-_FORWARDED_ENV = ("REPRO_KERNELS", "REPRO_SANITIZE")
-
-
-def forwarded_env() -> tuple[tuple[str, str | None], ...]:
-    """The parent's current values of the forwarded runtime toggles."""
-    return tuple((k, os.environ.get(k)) for k in _FORWARDED_ENV)
 
 
 @dataclass(frozen=True)
@@ -61,7 +52,9 @@ class TileJob:
 
     ``n_r``/``n_s`` are the tile's shard sizes — the parent uses them
     for longest-first dispatch, the worker never needs them (it reads
-    the real rows from the shared CSR index).
+    the real rows from the shared CSR index). ``mode`` is the parent
+    join's execution mode; a job built without one reads the
+    environment of the process that builds it.
     """
 
     dataset_key: str
@@ -76,10 +69,7 @@ class TileJob:
     seed: int
     want_trace: bool
     recovery: RecoveryPolicy | None = None
-    sanitize: bool | None = None
-    #: Parent-side snapshot of the forwarded runtime toggles (see
-    #: :data:`_FORWARDED_ENV`), applied in the worker before the task.
-    env: tuple[tuple[str, str | None], ...] = ()
+    mode: ExecutionMode = field(default_factory=ExecutionMode.from_env)
 
     @property
     def cost(self) -> int:
@@ -143,14 +133,9 @@ class TileRunner:
                 f"task wants dataset {job.dataset_key!r} v{job.version} "
                 f"but this worker has {have}; publish must precede tasks"
             )
-        for key, value in job.env:
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
         skey = (
             job.dataset_key, job.version, job.grid.rows, job.grid.cols,
-            job.tile, self._needs_data_r(job.method), job.config, job.env,
+            job.tile, self._needs_data_r(job.method), job.config, job.mode,
         )
         cached = self._substrates.get(skey)
         if cached is None:
@@ -192,7 +177,7 @@ class TileRunner:
             seed=job.seed,
             want_trace=job.want_trace,
             recovery=job.recovery,
-            sanitize=job.sanitize,
+            mode=job.mode,
         )
 
     def close(self) -> None:

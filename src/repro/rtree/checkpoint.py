@@ -101,6 +101,7 @@ class RTreeCheckpointer:
         buffer: BufferPool,
         metrics: MetricsCollector | None = None,
         name: str = "",
+        fast: bool | None = None,
     ) -> tuple[RTree, int] | None:
         """Reconstitute the latest snapshot; ``None`` when there is none.
 
@@ -128,7 +129,7 @@ class RTreeCheckpointer:
         ]
         blob = b"".join(p.payload for p in pages)
         tree = load_tree(buffer, self.config, blob,
-                         metrics=metrics, name=name)
+                         metrics=metrics, name=name, fast=fast)
         return tree, snap.entries_done
 
 
@@ -142,6 +143,7 @@ def build_with_checkpoints(
     resume: tuple[RTree, int] | None = None,
     split: SplitFunction = quadratic_split,
     name: str = "",
+    fast: bool | None = None,
 ) -> RTree:
     """:meth:`RTree.build` with periodic snapshots and resumability.
 
@@ -155,7 +157,8 @@ def build_with_checkpoints(
     if resume is not None:
         tree, done = resume
     else:
-        tree = RTree(buffer, config, metrics=metrics, split=split, name=name)
+        tree = RTree(buffer, config, metrics=metrics, split=split, name=name,
+                     fast=fast)
         done = 0
     for i in range(done, len(all_entries)):
         rect, oid = all_entries[i]

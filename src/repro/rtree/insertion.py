@@ -10,7 +10,7 @@ descent/split/adjust logic once and returns the (possibly new) root id so
 either owner can update its pointer.
 
 The ``owner`` argument is duck-typed: it must provide ``buffer``,
-``capacity``, ``min_fill``, ``split`` and ``metrics`` attributes.
+``capacity``, ``min_fill``, ``split``, ``metrics`` and ``fast`` attributes.
 """
 
 from __future__ import annotations
@@ -19,19 +19,13 @@ from typing import Any
 
 from ..errors import TreeError
 from ..geometry import Rect
-from ..kernels import kernels_enabled, least_enlargement_index
+from ..kernels import least_enlargement_index
 from ..storage import PageKind
 from .node import Entry, Node, node_mbr
 
 
-def choose_subtree(
-    owner: Any, node: Node, rect: Rect, use_kernels: bool | None = None
-) -> int:
+def choose_subtree(owner: Any, node: Node, rect: Rect) -> int:
     """Index of the child entry needing least enlargement (ties: area).
-
-    ``use_kernels`` lets a caller that already read the kernel toggle
-    (once per insert) pass it down instead of paying the environment
-    lookup per descended level.
 
     CPU accounting note: the paper's construction-time "bbox" column
     counts *bounding box overlap tests*; a least-enlargement scan is a
@@ -42,9 +36,7 @@ def choose_subtree(
     order of magnitude more — which per-entry charging here would bury
     under descent-scan noise.
     """
-    if use_kernels is None:
-        use_kernels = kernels_enabled()
-    if node.entries and use_kernels:
+    if node.entries and owner.fast:
         # Same winner as the scalar loop: first index attaining minimal
         # enlargement, area as the tie-break (first occurrence again).
         # Building columns eagerly amortises because the non-split
@@ -77,15 +69,13 @@ def new_node(owner: Any, level: int, entries: list[Entry]) -> Node:
 
 def insert_into_subtree(
     owner: Any, root_id: int, entry: Entry, target_level: int = 0,
-    use_kernels: bool | None = None,
 ) -> int:
     """Insert ``entry`` into the subtree rooted at ``root_id``.
 
     Returns the root id after the insert — a new id when the root split
     (the subtree grew one level). ``target_level`` selects the level that
     receives the entry: 0 for data entries, higher for re-inserting
-    orphaned subtrees during deletion. ``use_kernels`` lets a bulk
-    caller read the kernel toggle once per build instead of per insert.
+    orphaned subtrees during deletion.
     """
     buffer = owner.buffer
     node = buffer.fetch(root_id, pin=True).payload
@@ -97,10 +87,8 @@ def insert_into_subtree(
                 f"level {node.level}"
             )
         child_idxs: list[int] = []
-        if use_kernels is None:
-            use_kernels = kernels_enabled()
         while node.level > target_level:
-            idx = choose_subtree(owner, node, entry.mbr, use_kernels)
+            idx = choose_subtree(owner, node, entry.mbr)
             child_idxs.append(idx)
             node = buffer.fetch(node.entries[idx].ref, pin=True).payload
             path.append(node)
@@ -115,7 +103,7 @@ def insert_into_subtree(
             cur = path[depth]
             if len(cur.entries) > owner.capacity:
                 group_a, group_b = owner.split(
-                    cur.entries, owner.min_fill, owner.metrics
+                    cur.entries, owner.min_fill, owner.metrics, owner.fast
                 )
                 cur.entries = group_a
                 cur.invalidate_caches()

@@ -84,6 +84,7 @@ def load_tree(
     data: bytes,
     metrics: MetricsCollector | None = None,
     name: str = "",
+    fast: bool | None = None,
 ) -> RTree:
     """Reconstitute a dumped tree into ``buffer``.
 
@@ -152,7 +153,7 @@ def load_tree(
                 )
             e.ref = page_ids[e.ref]
 
-    tree = RTree(buffer, config, metrics=metrics, name=name)
+    tree = RTree(buffer, config, metrics=metrics, name=name, fast=fast)
     buffer.drop(tree.root_id, write_back=False)  # placeholder root
     tree.root_id = page_ids[0]
     tree._count = count

@@ -17,29 +17,24 @@ from itertools import count
 from typing import Any
 
 from ..geometry import Rect
-from ..kernels import intersect_indices, kernels_enabled
+from ..kernels import intersect_indices
 
 
-def window_query(
-    tree: Any, window: Rect, use_kernels: bool | None = None
-) -> list[int]:
+def window_query(tree: Any, window: Rect, fast: bool) -> list[int]:
     """Object ids of all objects whose MBRs intersect ``window``.
 
     Node reads are accounted through the tree's buffer; each entry
     inspected costs one bbox test (the batch intersect filter charges
-    the same per-entry count). ``use_kernels`` lets a caller issuing
-    many queries (BFJ: one per ``D_S`` rectangle) read the kernel
-    toggle once instead of per query.
+    the same per-entry count). ``fast`` scans each node's column cache;
+    otherwise entries are tested one by one, the scalar reference.
     """
     results: list[int] = []
     stack = [tree.root_id]
-    if use_kernels is None:
-        use_kernels = kernels_enabled()
     while stack:
         node = tree.read_node(stack.pop())
         if tree.metrics is not None:
             tree.metrics.count_bbox_tests(len(node.entries))
-        if use_kernels:
+        if fast:
             entries = node.entries
             arr = node.rect_array()
             out = results if node.is_leaf else stack

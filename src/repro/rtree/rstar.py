@@ -38,6 +38,7 @@ def rstar_split(
     entries: list[Entry],
     min_fill: int,
     metrics: MetricsCollector | None = None,
+    fast: bool = False,
 ) -> tuple[list[Entry], list[Entry]]:
     """Split an over-full entry list with the R* topological split."""
     n = len(entries)

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 from ..config import SystemConfig
 from ..errors import TreeError
 from ..geometry import Rect
+from ..kernels import kernels_enabled
 from ..metrics import MetricsCollector
 from ..storage import BufferPool, PageKind
 from .insertion import insert_into_subtree
@@ -88,6 +89,9 @@ class RTree:
         storage stack itself.
     split:
         Node-split strategy; defaults to Guttman's quadratic split.
+    fast:
+        Fast path or scalar reference for this tree's inserts, splits
+        and window queries; ``None`` reads ``REPRO_KERNELS`` once, here.
     """
 
     def __init__(
@@ -97,12 +101,14 @@ class RTree:
         metrics: MetricsCollector | None = None,
         split: SplitFunction = quadratic_split,
         name: str = "",
+        fast: bool | None = None,
     ):
         self.buffer = buffer
         self.config = config
         self.metrics = metrics
         self.split = split
         self.name = name
+        self.fast = kernels_enabled() if fast is None else fast
         self.capacity = config.node_capacity
         self.min_fill = config.node_min_fill
         self._count = 0
@@ -127,6 +133,7 @@ class RTree:
         metrics: MetricsCollector | None = None,
         split: SplitFunction = quadratic_split,
         name: str = "",
+        fast: bool | None = None,
     ) -> "RTree":
         """Create a tree by inserting ``entries`` one at a time.
 
@@ -134,7 +141,8 @@ class RTree:
         charges RTJ with — each insert descends through the buffer, so
         trees larger than the buffer generate misses.
         """
-        tree = cls(buffer, config, metrics=metrics, split=split, name=name)
+        tree = cls(buffer, config, metrics=metrics, split=split, name=name,
+                   fast=fast)
         for rect, oid in entries:
             tree.insert(rect, oid)
         return tree
@@ -211,15 +219,13 @@ class RTree:
     # Queries
     # ----------------------------------------------------------------- #
 
-    def window_query(
-        self, window: Rect, use_kernels: bool | None = None
-    ) -> list[int]:
+    def window_query(self, window: Rect) -> list[int]:
         """Object ids of all objects whose MBRs intersect ``window``.
 
         This is the spatial-selection operation BFJ issues once per input
         rectangle. Every entry inspected costs one bbox test.
         """
-        return shared_window_query(self, window, use_kernels)
+        return shared_window_query(self, window, self.fast)
 
     def point_query(self, x: float, y: float) -> list[int]:
         """Object ids whose MBRs cover the point ``(x, y)``."""

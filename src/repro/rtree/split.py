@@ -23,8 +23,11 @@ from ..kernels import RectArray, kernels_enabled, quadratic_split_indices
 from ..metrics import MetricsCollector
 from .node import Entry
 
+#: ``(entries, min_fill, metrics, fast)``: the tree passes its execution
+#: path as ``fast``, which a split with one implementation ignores.
 SplitFunction = Callable[
-    [list[Entry], int, MetricsCollector | None], tuple[list[Entry], list[Entry]]
+    [list[Entry], int, MetricsCollector | None, bool],
+    tuple[list[Entry], list[Entry]],
 ]
 
 
@@ -32,12 +35,14 @@ def quadratic_split(
     entries: list[Entry],
     min_fill: int,
     metrics: MetricsCollector | None = None,
+    fast: bool | None = None,
 ) -> tuple[list[Entry], list[Entry]]:
     """Guttman's quadratic split.
 
     Picks as seeds the pair of entries that would waste the most area if
     grouped together, then assigns each remaining entry to the group whose
     bounding box it enlarges least, honouring the minimum fill.
+    ``fast=None`` reads ``REPRO_KERNELS`` once.
     """
     n = len(entries)
     if n < 2:
@@ -47,7 +52,9 @@ def quadratic_split(
             f"min_fill {min_fill} impossible for {n} entries"
         )
 
-    if kernels_enabled():
+    if fast is None:
+        fast = kernels_enabled()
+    if fast:
         # Column-batch twin of the loops below: same seeds, same
         # assignments, same tie-breaks (None means the input triggered
         # a scalar-only corner such as NaN waste, so fall through).
@@ -133,6 +140,7 @@ def linear_split(
     entries: list[Entry],
     min_fill: int,
     metrics: MetricsCollector | None = None,
+    fast: bool = False,
 ) -> tuple[list[Entry], list[Entry]]:
     """Guttman's linear split (ablation alternative).
 

@@ -23,7 +23,7 @@ of CPU for its I/O gain.
 from __future__ import annotations
 
 from ..geometry import Rect
-from ..kernels import intersect_indices, kernels_enabled
+from ..kernels import intersect_indices
 from ..metrics import MetricsCollector
 from ..rtree.node import Node
 
@@ -34,6 +34,8 @@ def passes_filter(
     rect: Rect,
     fetch_child,
     metrics: MetricsCollector | None = None,
+    *,
+    fast: bool,
 ) -> bool:
     """True when ``rect`` overlaps a shadow at every seed level.
 
@@ -52,16 +54,18 @@ def passes_filter(
         :class:`Node`; the seeded tree passes an accounted buffer fetch.
     metrics:
         Receives one bbox test per shadow comparison performed.
+    fast:
+        Scan each node's shadow columns, else test entry by entry (the
+        scalar reference); same answer, same charge.
     """
     tests = 0
     frontier = [seed_root]
     passed = True
-    use_kernels = kernels_enabled()
     for depth in range(seed_levels):
         at_slot_level = depth == seed_levels - 1
         overlapping: list[int] = []
         for node in frontier:
-            shadows = node.shadow_array() if use_kernels else None
+            shadows = node.shadow_array() if fast else None
             if shadows is not None:
                 # Batch path; a node with any shadow-less entry falls
                 # back to the scalar scan, which charges those entries

@@ -28,8 +28,8 @@ creation). The finished tree is materialised from final-state node
 images with their internal refs shifted by the same ``delta``; leaf
 refs are object ids and never shift.
 
-Eligibility is conservative: the cache only engages on the default
-fast path (not under ``REPRO_KERNELS=0``) and when the run is plain —
+Eligibility is conservative: the cache only engages when the join runs
+the fast path (not under ``REPRO_KERNELS=0``) and when the run is plain —
 no recovery policy, no trace, no sanitizer, no fault injector, no
 deadline. Everything else takes the scalar build unchanged.
 """
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..kernels.backend import kernels_enabled
 from ..rtree.node import Entry, Node
 from ..storage.datafile import DataFile
 from .tree import SeededTree, TreePhase, _Slot
@@ -57,9 +56,9 @@ class BuildRecording:
 
 
 def _eligible(ctx: Any) -> bool:
-    if not kernels_enabled():
+    if not ctx.mode.fast:
         return False
-    if ctx.recovery is not None or ctx.trace is not None or ctx.sanitize:
+    if ctx.recovery is not None or ctx.trace is not None or ctx.mode.sanitize:
         return False
     if ctx.tree_r is None or not isinstance(ctx.data_s, DataFile):
         return False
@@ -210,7 +209,8 @@ def _replay(rec: BuildRecording, ctx: Any) -> SeededTree:
     buffer.replay_ops(rec.ops, start, delta, payloads, ctx.metrics,
                       rec.data_s)
 
-    tree = SeededTree(buffer, ctx.config, ctx.metrics, **rec.tree_kwargs)
+    tree = SeededTree(buffer, ctx.config, ctx.metrics, fast=ctx.mode.fast,
+                      **rec.tree_kwargs)
     tree.phase = TreePhase.READY
     root_id = rec.root_id
     tree.root_id = root_id + delta if root_id >= start else root_id

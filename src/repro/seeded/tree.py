@@ -118,6 +118,9 @@ class SeededTree:
         Force linked-list construction on/off; ``None`` (default) decides
         automatically by comparing the estimated tree size against the
         buffer size, as the paper prescribes.
+    fast:
+        Fast path or scalar reference for descent, filtering, growth,
+        splits and window queries; ``None`` reads ``REPRO_KERNELS`` once.
     """
 
     def __init__(
@@ -133,6 +136,7 @@ class SeededTree:
         use_linked_lists: bool | None = None,
         split: SplitFunction = quadratic_split,
         name: str = "",
+        fast: bool | None = None,
     ):
         if seed_levels < 1:
             raise SeedingError("a seeded tree needs at least one seed level")
@@ -146,6 +150,7 @@ class SeededTree:
         self.use_linked_lists = use_linked_lists
         self.split = split
         self.name = name
+        self.fast = kernels_enabled() if fast is None else fast
         self.capacity = config.node_capacity
         self.min_fill = config.node_min_fill
 
@@ -418,12 +423,11 @@ class SeededTree:
 
         skip = resume.entries_scanned if resume is not None else 0
         scanned = 0
-        use_kernels = kernels_enabled()  # one toggle read per growing phase
         for rect, oid in entries:
             scanned += 1
             if scanned <= skip:
                 continue
-            self.insert(rect, oid, use_kernels)
+            self.insert(rect, oid)
             if checkpointer is not None:
                 checkpointer.maybe_checkpoint(self, scanned)
 
@@ -454,42 +458,32 @@ class SeededTree:
         for slot, count in zip(self._slots, salvage.slot_counts):
             slot.count = count
 
-    def insert(
-        self, rect: Rect, oid: int, use_kernels: bool | None = None
-    ) -> None:
-        """Insert one object: filter, descend the seed levels, grow.
-
-        ``use_kernels`` lets :meth:`grow_from` read the kernel toggle
-        once for the whole growing phase instead of per object.
-        """
+    def insert(self, rect: Rect, oid: int) -> None:
+        """Insert one object: filter, descend the seed levels, grow."""
         if self.phase is not TreePhase.SEEDED:
             raise TreePhaseError(f"cannot insert in phase {self.phase.value}")
 
         if self.filtering and not passes_filter(
             self.read_node(self.root_id), self.seed_levels, rect,
-            self.read_node, self.metrics,
+            self.read_node, self.metrics, fast=self.fast,
         ):
             self._filtered += 1
             return
 
-        slot = self._descend_to_slot(rect, use_kernels)
+        slot = self._descend_to_slot(rect)
         if self._lists is not None:
             self._lists.append(slot.index, (rect, oid))
         else:
-            self._insert_through_slot(slot, rect, oid, use_kernels)
+            self._insert_through_slot(slot, rect, oid)
         slot.count += 1
         self._count += 1
 
-    def _descend_to_slot(
-        self, rect: Rect, use_kernels: bool | None = None
-    ) -> _Slot:
+    def _descend_to_slot(self, rect: Rect) -> _Slot:
         """Root-to-slot descent, applying the update policy on the way."""
         node = self.read_node(self.root_id)
-        if use_kernels is None:
-            use_kernels = kernels_enabled()  # one env read per descent
         for depth in range(self.seed_levels):
             at_slot_level = depth == self.seed_levels - 1
-            entry, idx = self._choose_seed_entry(node, rect, use_kernels)
+            entry, idx = self._choose_seed_entry(node, rect)
             if apply_update(self.update_policy, entry, rect, at_slot_level):
                 # The update rewrote exactly one entry's box: patch that
                 # row instead of dropping the whole column cache, which
@@ -501,9 +495,7 @@ class SeededTree:
             node = self.read_node(entry.ref)
         raise TreeError("descent fell through the slot level")  # unreachable
 
-    def _choose_seed_entry(
-        self, node: Node, rect: Rect, use_kernels: bool | None = None
-    ) -> tuple[Entry, int]:
+    def _choose_seed_entry(self, node: Node, rect: Rect) -> tuple[Entry, int]:
         """Pick the guiding entry (and its index) for one seed node.
 
         The paper's criterion depends on what the bounding-box fields
@@ -511,9 +503,8 @@ class SeededTree:
         least enlargement. When updates have turned only some boxes into
         real rectangles, least enlargement is used for all (a degenerate
         box's enlargement grows with distance, so the criteria agree in
-        spirit). ``use_kernels`` carries the per-descent kernel-toggle
-        read from :meth:`_descend_to_slot`; the index lets that caller
-        patch the one cache row an update rewrites.
+        spirit). The index lets :meth:`_descend_to_slot` patch the one
+        cache row an update rewrites.
         """
         entries = node.entries
         if not entries:
@@ -522,9 +513,7 @@ class SeededTree:
             # One classification pass per node visited, matching the
             # granularity of the R-tree's choose_subtree accounting.
             self.metrics.count_bbox_tests(1)
-        if use_kernels is None:
-            use_kernels = kernels_enabled()
-        if use_kernels:
+        if self.fast:
             # The update policies rewrite one box per visited node, but
             # the descent patches that single cache row, so the column
             # caches stay warm across inserts.
@@ -553,10 +542,7 @@ class SeededTree:
                 best_idx, best_enl, best_area = i, enl, e.mbr.area()
         return entries[best_idx], best_idx
 
-    def _insert_through_slot(
-        self, slot: _Slot, rect: Rect, oid: int,
-        use_kernels: bool | None = None,
-    ) -> None:
+    def _insert_through_slot(self, slot: _Slot, rect: Rect, oid: int) -> None:
         """Grow the slot's subtree by one entry (allocating it if new).
 
         Tracks the subtree's exact MBR and root level as it grows, so the
@@ -568,10 +554,7 @@ class SeededTree:
             slot.root_id = leaf.page_id
             slot.true_mbr = rect
         else:
-            new_root = insert_into_subtree(
-                self, slot.root_id, Entry(rect, oid),
-                use_kernels=use_kernels,
-            )
+            new_root = insert_into_subtree(self, slot.root_id, Entry(rect, oid))
             if new_root != slot.root_id:
                 slot.root_id = new_root
                 slot.root_level += 1
@@ -581,7 +564,6 @@ class SeededTree:
 
     def attach_subtree(
         self, mbr: Rect, root_id: int, root_level: int, count: int,
-        use_kernels: bool | None = None,
     ) -> None:
         """Graft an existing subtree into a slot (incremental re-seed).
 
@@ -600,7 +582,7 @@ class SeededTree:
             )
         if count <= 0:
             raise SeedingError("attached subtree must hold data")
-        slot = self._descend_to_slot(mbr, use_kernels)
+        slot = self._descend_to_slot(mbr)
         if slot.root_id == -1:
             slot.root_id = root_id
             slot.root_level = root_level
@@ -667,11 +649,10 @@ class SeededTree:
         vanish. This is the heart of the Section 3.1 optimisation.
         """
         assert self._lists is not None
-        use_kernels = kernels_enabled()  # one toggle read for the drain
         for slot_index, entries in self._lists.regroup_and_drain():
             slot = self._slots[slot_index]
             for rect, oid in entries:
-                self._insert_through_slot(slot, rect, oid, use_kernels)
+                self._insert_through_slot(slot, rect, oid)
         self._list_batches = self._lists.batches_flushed
         self._list_pages_flushed = self._lists.pages_flushed
         self._lists = None
@@ -724,13 +705,11 @@ class SeededTree:
     # Post-construction use
     # ----------------------------------------------------------------- #
 
-    def window_query(
-        self, window: Rect, use_kernels: bool | None = None
-    ) -> list[int]:
+    def window_query(self, window: Rect) -> list[int]:
         """Spatial selection on the finished tree (Section 5 notes a
         seeded tree may be retained as an ordinary access method)."""
         self._require_ready()
-        return shared_window_query(self, window, use_kernels)
+        return shared_window_query(self, window, self.fast)
 
     def insert_retained(self, rect: Rect, oid: int) -> None:
         """Insert into the *finished* tree, used as an ordinary index.
@@ -831,7 +810,7 @@ class SeededTree:
 
     def point_query(self, x: float, y: float) -> list[int]:
         self._require_ready()
-        return shared_window_query(self, Rect.point(x, y))
+        return shared_window_query(self, Rect.point(x, y), self.fast)
 
     def nearest_neighbors(self, x: float, y: float,
                           k: int = 1) -> list[tuple[float, int]]:

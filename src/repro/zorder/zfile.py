@@ -11,10 +11,10 @@ An entry costs 8 bytes of z-interval, a 16-byte bounding box (kept for
 the exact post-merge test) and a 4-byte oid = 28 bytes, so a 512 B page
 holds 17 entries and a 1 KiB page 35.
 
-Building a z-file has two paths behind ``REPRO_KERNELS``. The fast path
+Building a z-file has two paths, picked by ``fast``. The fast path
 decomposes every rectangle at once (:func:`~repro.zorder.curve
 .decompose_batch`) and orders the elements with one stable
-``np.lexsort``; ``REPRO_KERNELS=0`` runs the scalar reference, one
+``np.lexsort``; ``fast=False`` runs the scalar reference, one
 :func:`~repro.zorder.curve.decompose` call per rectangle and a list
 sort. Both write the same entries in the same order on the same pages.
 """
@@ -90,6 +90,7 @@ class ZFile:
         entries: Iterable[DataEntry],
         max_elements: int = 4,
         name: str = "",
+        fast: bool | None = None,
     ) -> "ZFile":
         """Decompose, sort, and write a data set's elements sequentially.
 
@@ -97,8 +98,11 @@ class ZFile:
         a B+-tree); the I/O charged is the single sequential write of the
         sorted run, at whatever phase is active on the metrics collector.
         Entries are ordered by ``(zlo, -zhi)``, ties in input order.
+        ``fast=None`` reads ``REPRO_KERNELS`` once.
         """
-        if kernels_enabled():
+        if fast is None:
+            fast = kernels_enabled()
+        if fast:
             rows = list(entries)
             z_entries = _sorted_entries_batch(rows, max_elements)
             num_objects = len(rows)

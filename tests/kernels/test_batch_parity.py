@@ -259,9 +259,6 @@ class TestRectArray:
         arr = arr_of(rs, backend)
         assert len(arr) == 3
         assert [arr.rect_at(i) for i in range(3)] == rs
-        sub = arr.take([2, 0])
-        assert [sub.rect_at(i) for i in range(2)] == [rs[2], rs[0]]
-        assert sub.is_numpy == arr.is_numpy
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(GeometryError):

@@ -20,6 +20,7 @@ class Owner:
     """Minimal duck-typed owner, as SeededTree provides."""
 
     def __init__(self, buffer_pages=256, page_size=104):
+        from repro.kernels import kernels_enabled
         from repro.rtree.split import quadratic_split
         from repro.storage import BufferPool, DiskSimulator
 
@@ -32,6 +33,7 @@ class Owner:
         self.capacity = self.config.node_capacity
         self.min_fill = self.config.node_min_fill
         self.split = quadratic_split
+        self.fast = kernels_enabled()
 
 
 def collect_leaf_refs(owner, root_id):

@@ -37,21 +37,21 @@ class TestPassesFilter:
         far = Rect(10, 10, 11, 11)
         root = tree.read_node(tree.root_id)
         assert not passes_filter(root, tree.seed_levels, far,
-                                 tree.read_node, m)
+                                 tree.read_node, m, fast=tree.fast)
 
     def test_overlapping_object_passes(self):
         tree, t_r, m = seeded_with_filter()
         # An object covering the whole map must overlap some shadow.
         root = tree.read_node(tree.root_id)
         assert passes_filter(root, tree.seed_levels, Rect(0, 0, 1, 1),
-                             tree.read_node, m)
+                             tree.read_node, m, fast=tree.fast)
 
     def test_counts_bbox_tests(self):
         tree, t_r, m = seeded_with_filter()
         root = tree.read_node(tree.root_id)
         before = m.cpu.bbox_tests
         passes_filter(root, tree.seed_levels, Rect(0.5, 0.5, 0.6, 0.6),
-                      tree.read_node, m)
+                      tree.read_node, m, fast=tree.fast)
         assert m.cpu.bbox_tests > before
 
     def test_deeper_levels_test_more(self):
@@ -64,7 +64,7 @@ class TestPassesFilter:
             before = m.cpu.bbox_tests
             for rect, _ in random_entries(50, seed=3, oid_start=5000):
                 passes_filter(root, tree.seed_levels, rect,
-                              tree.read_node, m)
+                              tree.read_node, m, fast=tree.fast)
             results.append(m.cpu.bbox_tests - before)
         assert results[1] > results[0]
 
@@ -159,6 +159,7 @@ def test_filter_decision_matches_ground_truth_overlap(r_rects, s_rects):
     root = tree.read_node(tree.root_id)
     for s in s_rects:
         joins = any(s.intersects(r) for r in r_rects)
-        passed = passes_filter(root, tree.seed_levels, s, tree.read_node, m)
+        passed = passes_filter(root, tree.seed_levels, s, tree.read_node, m,
+                               fast=tree.fast)
         if joins:
             assert passed

@@ -22,15 +22,19 @@ while each test stays fast.
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 
 import repro.join.batch as join_batch
 import repro.kernels.batch as kernel_batch
 import repro.zorder.curve as zcurve
+from repro.analysis.sanitizer import sanitizer_enabled
 from repro.config import SystemConfig
 from repro.geometry import Rect
 from repro.join import spatial_join
+from repro.join.engine import ExecutionMode
+from repro.kernels import kernels_enabled
 from repro.kernels.node_store import ColumnTree
 from repro.parallel import PublishedDataset, TileJob, TileRunner
 from repro.parallel.worker import unpack_outcome
@@ -460,9 +464,9 @@ def test_pooled_equals_sequential(method: str, seed: int) -> None:
 
 def test_pooled_kernels_on_off_bit_identical(monkeypatch) -> None:
     """Fast path vs scalar through the pooled route: identical pairs and
-    counters (each task carries the parent's REPRO_KERNELS to its
-    worker; ``test_pooled_tile_runner_runs_the_forwarded_path`` shows
-    the worker side honours it)."""
+    counters (each task carries the parent join's mode to its worker;
+    ``test_pooled_tile_runner_runs_the_forwarded_path`` shows the worker
+    side runs it)."""
     d_r, d_s = _kernel_workload(1)
 
     def run(kernels: str):
@@ -516,10 +520,12 @@ def test_pooled_batch_on_off_bit_identical(monkeypatch) -> None:
 @pytest.mark.parametrize("method", ("STJ", "BFJ"))
 def test_pooled_tile_runner_runs_the_forwarded_path(method, monkeypatch,
                                                     count_calls) -> None:
-    """A pool worker's :class:`TileRunner` runs the path the task's
-    forwarded environment names: the batch match phase fires for
-    ``REPRO_KERNELS=1`` only, and both tile runs agree exactly."""
-    monkeypatch.setenv("REPRO_KERNELS", "1")  # restored after the test
+    """A pool worker's :class:`TileRunner` runs the mode its task
+    carries, whatever the worker's environment says, and leaves that
+    environment alone: the fast job runs under ``REPRO_KERNELS=0`` and
+    still calls the batch match phase, the scalar job runs under
+    ``REPRO_KERNELS=1`` and never does, and both tile runs agree
+    exactly."""
     d_r, d_s = _kernel_workload(1)
     dataset = PublishedDataset("tile-runner-legs", 1, d_r, d_s)
     runner = TileRunner()
@@ -529,14 +535,19 @@ def test_pooled_tile_runner_runs_the_forwarded_path(method, monkeypatch,
         tile = max(descriptors, key=lambda d: d.n_r + d.n_s)
         calls = count_calls(*BATCH_PHASES)
         legs = []
-        for kernels in ("1", "0"):
-            calls.clear()
-            outcome = unpack_outcome(runner.run(TileJob(
+        for fast, env_kernels in ((True, "0"), (False, "1")):
+            monkeypatch.setenv("REPRO_KERNELS", env_kernels)
+            job = TileJob(
                 dataset_key=dataset.key, version=dataset.version,
                 grid=grid, tile=tile.tile.index, n_r=tile.n_r, n_s=tile.n_s,
                 method=method, config=CFG, options={}, seed=1,
-                want_trace=False, env=(("REPRO_KERNELS", kernels),),
-            )))
+                want_trace=False,
+                mode=ExecutionMode(fast=fast, sanitize=False),
+            )
+            calls.clear()
+            environ = dict(os.environ)
+            outcome = unpack_outcome(runner.run(job))
+            assert dict(os.environ) == environ, "the task rewrote os.environ"
             assert outcome.algorithm == method
             legs.append((outcome.pairs, outcome.snapshot, sum(calls.values())))
     finally:
@@ -547,3 +558,26 @@ def test_pooled_tile_runner_runs_the_forwarded_path(method, monkeypatch,
     assert pairs_on, "tile produced no pairs"
     assert pairs_on == pairs_off
     assert snap_on == snap_off
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_mode_is_read_once_per_join(method, count_calls) -> None:
+    """A sequential join reads each of its two switches exactly once,
+    when it starts, and passes the mode down instead of re-reading the
+    environment: cold (fresh workspace) and warm (a repeat in the same
+    workspace, where replay and plan caches engage) alike."""
+    d_r, d_s = _kernel_workload(0)
+    ws = Workspace(CFG)
+    tree_r = ws.install_rtree(d_r)
+    file_s = ws.install_datafile(d_s)
+    calls = count_calls(kernels_enabled, sanitizer_enabled)
+    for run in ("cold", "warm"):
+        ws.start_measurement()
+        calls.clear()
+        result = spatial_join(
+            file_s, tree_r, ws.buffer, ws.config, ws.metrics, method=method,
+        )
+        assert result.pairs, "workload produced no pairs"
+        assert calls == {"kernels_enabled": 1, "sanitizer_enabled": 1}, (
+            f"{run} {method} join read the environment: {dict(calls)}"
+        )
