@@ -35,7 +35,6 @@ import time
 from repro.config import SystemConfig
 from repro.dynamic import (
     AlwaysRebuild,
-    CostCrossover,
     DynamicScenario,
     NeverReseed,
     StalenessThreshold,
@@ -132,8 +131,7 @@ POLICIES = (
     ("never", NeverReseed),
     ("always-rebuild", AlwaysRebuild),
     ("staleness-threshold", lambda: StalenessThreshold(
-        incremental_at=0.79, rebuild_at=0.8, skew_at=1e9)),
-    ("cost-crossover", lambda: CostCrossover(min_runs=4)),
+        rebuild_at=0.8, skew_at=1e9)),
 )
 
 
@@ -158,7 +156,6 @@ def _policy_horizon(policy, rounds: int) -> dict:
     return {
         "total_io": round(ws.metrics.summary().total_io - base, 1),
         "joins": joins,
-        "reseeds": scenario.manager.reseeds,
         "rebuilds": scenario.manager.rebuilds,
         "exact": exact,
     }
@@ -232,7 +229,7 @@ def main(argv=None) -> int:
     policies = policy_sweep(args.quick)
     for name, r in policies["policies"].items():
         print(f"  {name:20s} total_io={r['total_io']:9.1f} "
-              f"reseeds={r['reseeds']} rebuilds={r['rebuilds']}")
+              f"rebuilds={r['rebuilds']}")
     print(f"  winner: {policies['winner']}")
 
     out = {

@@ -8,9 +8,9 @@ package opens that scenario:
   accounted phases (maintenance → CONSTRUCT, queries → MATCH);
 * :class:`StalenessTracker` measures how far a seeded tree's copied
   seed levels have drifted from the churning partner;
-* :class:`ReseedPolicy` objects decide between riding the drift, an
-  incremental re-seed (graft grown subtrees under fresh seed levels),
-  and a full rebuild — :class:`ReseedManager` executes the decision;
+* :class:`ReseedPolicy` objects decide between riding the drift and
+  a full rebuild (the paper's seeded construction run again) —
+  :class:`ReseedManager` executes the decision;
 * :class:`IncrementalJoin` keeps a materialized join result exact
   under updates with per-op delta probes;
 * :class:`DynamicScenario` wires all of it for tests, benchmarks, and
@@ -20,13 +20,11 @@ package opens that scenario:
 from .incremental import IncrementalJoin
 from .reseed import (
     AlwaysRebuild,
-    CostCrossover,
     NeverReseed,
     ReseedDecision,
     ReseedManager,
     ReseedPolicy,
     StalenessThreshold,
-    incremental_reseed,
     rebuild_seeded,
 )
 from .scenario import DynamicScenario
@@ -46,8 +44,6 @@ __all__ = [
     "NeverReseed",
     "AlwaysRebuild",
     "StalenessThreshold",
-    "CostCrossover",
-    "incremental_reseed",
     "rebuild_seeded",
     "DynamicScenario",
 ]

@@ -1,38 +1,26 @@
-"""Re-seed policies and the two maintenance procedures they trigger.
+"""Re-seed policies and the maintenance procedure they trigger.
 
-A stale seeded tree can be refreshed two ways, both charged to the
-maintenance (CONSTRUCT) phase because they are index construction:
+A stale seeded tree is refreshed by :func:`rebuild_seeded`: read every
+object out of the old tree, copy fresh seed levels from the partner's
+current top, and grow a brand-new tree. That is the paper's own
+construction (Section 2.1) run again, charged to the maintenance
+(CONSTRUCT) phase because it is index construction.
 
-* :func:`incremental_reseed` — *graft, don't rebuild*: fresh seed
-  levels are copied from the partner's current top, then the old
-  tree's grown subtrees are harvested whole (their pages already sit
-  in the same buffer pool) and hung off the new slots via
-  :meth:`~repro.seeded.SeededTree.attach_subtree`. Only the old
-  tree's upper levels are read and dropped; the bulk of the data
-  pages is never touched.
-* :func:`rebuild_seeded` — the from-scratch alternative: read every
-  object out of the old tree, re-seed from the current partner, and
-  grow a brand-new tree. Touches everything; produces the best
-  packing.
-
-:class:`ReseedPolicy` objects decide *when* each is worth it from a
-:class:`~repro.dynamic.staleness.StalenessSnapshot`; the
-cost-crossover policy follows SOLAR's lead and triggers on measured
-excess I/O from prior runs crossing the estimated maintenance cost.
-:class:`ReseedManager` glues tracker, policy, and procedures to one
+:class:`ReseedPolicy` objects decide *when* a rebuild is worth it from
+a :class:`~repro.dynamic.staleness.StalenessSnapshot`.
+:class:`ReseedManager` glues tracker, policy, and procedure to one
 resident tree.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 from ..errors import SeedingError
 from ..rtree import RTree
-from ..rtree.node import Entry, Node
+from ..rtree.node import Entry
 from ..seeded import SeededTree
 from ..workspace import Workspace
 from .staleness import StalenessSnapshot, StalenessTracker
@@ -40,7 +28,6 @@ from .staleness import StalenessSnapshot, StalenessTracker
 
 class ReseedDecision(Enum):
     NONE = "none"
-    INCREMENTAL = "incremental"
     REBUILD = "rebuild"
 
 
@@ -77,79 +64,27 @@ class AlwaysRebuild(ReseedPolicy):
 class StalenessThreshold(ReseedPolicy):
     """Trigger on structural drift: dilation and occupancy skew.
 
-    Incremental re-seed when either signal crosses its lower bar;
-    escalate to a full rebuild when dilation crosses the upper bar
-    (grafting whole subtrees cannot fix packing that churn already
-    ruined inside them).
+    Rebuild when either signal crosses its bar; ride the drift
+    otherwise.
     """
 
     name = "staleness-threshold"
 
-    def __init__(
-        self,
-        incremental_at: float = 0.25,
-        rebuild_at: float = 2.0,
-        skew_at: float = 4.0,
-    ) -> None:
-        if incremental_at <= 0 or rebuild_at <= incremental_at:
-            raise ValueError("need 0 < incremental_at < rebuild_at")
-        self.incremental_at = incremental_at
+    def __init__(self, rebuild_at: float = 2.0, skew_at: float = 4.0) -> None:
+        if rebuild_at <= 0:
+            raise ValueError("need rebuild_at > 0")
         self.rebuild_at = rebuild_at
         self.skew_at = skew_at
 
     def decide(self, snap: StalenessSnapshot) -> ReseedDecision:
-        if snap.seed_dilation >= self.rebuild_at:
-            return ReseedDecision.REBUILD
-        if (snap.seed_dilation >= self.incremental_at
+        if (snap.seed_dilation >= self.rebuild_at
                 or snap.occupancy_skew >= self.skew_at):
-            return ReseedDecision.INCREMENTAL
-        return ReseedDecision.NONE
-
-
-class CostCrossover(ReseedPolicy):
-    """Trigger on *measured* cost: re-seed when drift has already cost
-    more than fixing it would.
-
-    The excess of measured over planner-predicted join I/O accumulated
-    in the tracker window is compared against closed-form maintenance
-    estimates derived from the tree's current page count: an
-    incremental re-seed touches roughly the seed levels plus one
-    descent per graft (a small fraction of the tree), a rebuild reads
-    and rewrites everything. Both estimates can be scaled.
-    """
-
-    name = "cost-crossover"
-
-    #: Fractions of ``tree_pages`` the two procedures are estimated to
-    #: cost. Incremental touches upper levels only; a rebuild reads the
-    #: whole tree once and writes a new one (~2.2x with splits).
-    INCREMENTAL_COST_FRACTION = 0.3
-    REBUILD_COST_FRACTION = 2.2
-
-    def __init__(self, scale: float = 1.0, min_runs: int = 3) -> None:
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.scale = scale
-        self.min_runs = min_runs
-
-    def decide(self, snap: StalenessSnapshot) -> ReseedDecision:
-        if snap.runs < self.min_runs:
-            return ReseedDecision.NONE
-        incr_cost = (
-            self.INCREMENTAL_COST_FRACTION * snap.tree_pages * self.scale
-        )
-        rebuild_cost = (
-            self.REBUILD_COST_FRACTION * snap.tree_pages * self.scale
-        )
-        if snap.excess_io >= rebuild_cost:
             return ReseedDecision.REBUILD
-        if snap.excess_io >= incr_cost:
-            return ReseedDecision.INCREMENTAL
         return ReseedDecision.NONE
 
 
 # --------------------------------------------------------------------- #
-# Maintenance procedures
+# Maintenance procedure
 # --------------------------------------------------------------------- #
 
 
@@ -190,97 +125,14 @@ def rebuild_seeded(
     seed_levels: int | None = None,
 ) -> SeededTree:
     """Full rebuild: drain the old tree, re-seed, re-grow. Accounted
-    under the maintenance phase; the old tree's pages are freed."""
+    under the maintenance phase. The old tree's pages are dropped from
+    the buffer without write-back; the simulated disk never frees a
+    page, so their images stay on disk."""
     with workspace.maintenance_phase():
         data = _drain_tree(old)
         tree = _make_successor(old, partner, seed_levels)
         tree.seed(partner)
         tree.grow_from(data)
-        tree.cleanup()
-    return tree
-
-
-@dataclass
-class _Harvest:
-    """What an incremental harvest salvaged from the old tree."""
-
-    grafts: list[tuple] = field(default_factory=list)  # (mbr, ref, level, n)
-    loose: list[Entry] = field(default_factory=list)   # data entries
-
-
-def _harvest(old: SeededTree) -> _Harvest | None:
-    """Detach the old tree's subtrees below its upper levels.
-
-    Walks (accounted) the top ``seed_levels`` of the old tree; the
-    children hanging below the deepest walked level become grafts and
-    their pages are *not* read. Shallow branches whose data sits above
-    that depth are salvaged as loose entries. Returns ``None`` when
-    the tree is too shallow to have anything worth grafting — the
-    caller rebuilds instead. Walked structural pages are dropped.
-
-    Graft levels and object counts are taken from unaccounted
-    introspection: they are node metadata (one int each), not data
-    pages read.
-    """
-    root = old._node_unaccounted(old.root_id)
-    if root.is_leaf or root.level < 2:
-        return None
-    harvest = _Harvest()
-    boundary = old.seed_levels - 1
-
-    def count_below(page_id: int) -> int:
-        node = old._node_unaccounted(page_id)
-        if node.is_leaf:
-            return len(node.entries)
-        return sum(count_below(e.ref) for e in node.entries)
-
-    def walk(page_id: int, depth: int) -> None:
-        node = old.read_node(page_id)
-        if node.is_leaf:
-            harvest.loose.extend(node.entries)
-        elif depth < boundary:
-            for e in node.entries:
-                walk(e.ref, depth + 1)
-        else:
-            for e in node.entries:
-                child_level = old._node_unaccounted(e.ref).level
-                harvest.grafts.append(
-                    (e.mbr, e.ref, child_level, count_below(e.ref))
-                )
-        old.buffer.drop(page_id, write_back=False)
-
-    walk(old.root_id, 0)
-    # A harvest with only loose entries (every branch was shallow) is
-    # still returned: its source pages are already dropped, so the
-    # successor must be built from it, grafts or not.
-    return harvest
-
-
-def incremental_reseed(
-    workspace: Workspace,
-    old: SeededTree,
-    partner: RTree,
-    seed_levels: int | None = None,
-) -> SeededTree | None:
-    """Graft the old tree's subtrees under fresh seed levels.
-
-    Returns the successor tree, or ``None`` when the old tree is too
-    shallow to harvest (the caller should rebuild). Cost: reads of the
-    old upper levels, the new seeding copy, one slot descent per
-    graft, and one ordinary insert per loose entry — the grown bulk of
-    the old tree moves by pointer.
-    """
-    with workspace.maintenance_phase():
-        if old._node_unaccounted(old.root_id).level < 2:
-            return None  # too shallow to graft; rebuild instead
-        tree = _make_successor(old, partner, seed_levels)
-        harvest = _harvest(old)
-        assert harvest is not None
-        tree.seed(partner)
-        for mbr, ref, level, count in harvest.grafts:
-            tree.attach_subtree(mbr, ref, level, count)
-        for e in harvest.loose:
-            tree.insert(e.mbr, e.ref)
         tree.cleanup()
     return tree
 
@@ -293,11 +145,10 @@ def incremental_reseed(
 class ReseedManager:
     """Owns one resident seeded tree's staleness loop.
 
-    Feed it measured joins (:meth:`record_run`); call :meth:`evaluate`
-    at maintenance points. When the policy fires, the tree is replaced
-    — incrementally when possible, by rebuild otherwise — the tracker
-    re-baselines, and subscribers (update streams, the incremental
-    join) are re-pointed at the successor.
+    Call :meth:`evaluate` at maintenance points. When the policy fires,
+    the tree is rebuilt, the tracker re-baselines, and subscribers
+    (update streams, the incremental join) are re-pointed at the
+    successor.
     """
 
     def __init__(
@@ -314,16 +165,12 @@ class ReseedManager:
         self.policy = policy
         self.tracker = tracker or StalenessTracker()
         self.tracker.rebaseline(partner, tree)
-        self.reseeds = 0
         self.rebuilds = 0
         self._subscribers: list[Callable[[SeededTree], None]] = []
 
     def subscribe(self, callback: Callable[[SeededTree], None]) -> None:
         """Register to be re-pointed when the tree is replaced."""
         self._subscribers.append(callback)
-
-    def record_run(self, predicted_io: float, measured_io: float) -> None:
-        self.tracker.record_run(predicted_io, measured_io)
 
     def measure(self) -> StalenessSnapshot:
         return self.tracker.measure(self.partner, self.tree)
@@ -337,22 +184,8 @@ class ReseedManager:
         if self.partner.height <= 1:
             # Nothing to seed from; keep the current tree.
             return ReseedDecision.NONE, snap
-        successor: SeededTree | None = None
-        if decision is ReseedDecision.INCREMENTAL:
-            try:
-                successor = incremental_reseed(
-                    self.workspace, self.tree, self.partner
-                )
-            except SeedingError:
-                successor = None
-            if successor is None:
-                decision = ReseedDecision.REBUILD
-        if successor is None:
-            successor = rebuild_seeded(self.workspace, self.tree,
-                                       self.partner)
-            self.rebuilds += 1
-        else:
-            self.reseeds += 1
+        successor = rebuild_seeded(self.workspace, self.tree, self.partner)
+        self.rebuilds += 1
         self.tree = successor
         self.tracker.rebaseline(self.partner, successor)
         for callback in self._subscribers:

@@ -13,7 +13,6 @@ charged.
 from __future__ import annotations
 
 from ..config import SystemConfig
-from ..join.planner import plan_join
 from ..storage import FaultInjector
 from ..workload import make_dataset, make_stream
 from ..workload.seeding import derive_seed
@@ -96,31 +95,8 @@ class DynamicScenario:
             self.stream_r.step(r_ops)
 
     def run_join(self) -> list[tuple[int, int]]:
-        """One measured resident join (MATCH-charged TM matching).
-
-        The measured/predicted pair is recorded with the re-seed
-        manager, feeding the cost-crossover signal.
-        """
-        ws = self.workspace
-        before = ws.metrics.summary().match_read
-        pairs = ws.match_resident(self.tree_s, self.partner)
-        measured = ws.metrics.summary().match_read - before
-        predicted = self.predicted_match_io()
-        self.manager.record_run(predicted, measured)
-        return pairs
-
-    def predicted_match_io(self) -> float:
-        """The planner's match-phase estimate for a *fresh* seeded tree.
-
-        Drift shows up as measured I/O pulling away from this figure.
-        """
-        plan = plan_join(
-            self.workspace.config,
-            n_s=len(self.tree_s),
-            tree_r_pages=self.partner.num_nodes(),
-            tree_r_height=self.partner.height,
-        )
-        return plan.estimate_for("STJ").match_io
+        """One measured resident join (MATCH-charged TM matching)."""
+        return self.workspace.match_resident(self.tree_s, self.partner)
 
     def maintain(self) -> tuple[ReseedDecision, StalenessSnapshot]:
         """One maintenance point: measure staleness, maybe re-seed."""

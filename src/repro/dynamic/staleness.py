@@ -6,23 +6,18 @@ node boxes move while the seeded tree's internal structure stays where
 the *old* boxes put it, so slot guidance degrades: inserts land in
 slots whose true region moved away, subtrees overlap, and join cost
 creeps above what the planner predicts. :class:`StalenessTracker`
-quantifies that drift with three complementary signals:
+quantifies that drift with two structural signals:
 
 * **seed dilation** — how much the recorded seed-source boxes must
   grow to cover the partner's *current* boxes at the same depth
   (area-weighted enlargement; 0 = unchanged);
 * **occupancy skew** — max/mean object count under the seeded tree's
   top-level entries (1 = perfectly even; grows as churn concentrates
-  data in slots the old seeds happened to favour);
-* **cost gap** — windowed measured-vs-predicted I/O ratio of recent
-  joins through the tree, the SOLAR-style signal: reuse measured costs
-  from prior runs to drive re-optimization decisions.
+  data in slots the old seeds happened to favour).
 
-Structural reads here use unaccounted introspection: the tracker
-models metadata a resident-index owner would maintain alongside the
-tree (the paper's cost model charges data-path I/O, not bookkeeping).
-Cost-gap inputs, by contrast, come from *measured, accounted* runs
-recorded via :meth:`StalenessTracker.record_run`.
+Reads here use unaccounted introspection: the tracker models metadata
+a resident-index owner would maintain alongside the tree (the paper's
+cost model charges data-path I/O, not bookkeeping).
 """
 
 from __future__ import annotations
@@ -41,17 +36,7 @@ class StalenessSnapshot:
 
     seed_dilation: float       # area-weighted box drift, 0 = fresh
     occupancy_skew: float      # max/mean top-entry occupancy, 1 = even
-    cost_gap: float            # measured/predicted I/O ratio - 1, 0 = exact
     partner_churn: int         # partner mutations since the baseline
-    runs: int                  # joins in the cost window
-    predicted_io: float        # summed planner predictions in the window
-    measured_io: float         # summed measured I/O in the window
-    tree_pages: int            # current seeded-tree size (re-seed cost scale)
-
-    @property
-    def excess_io(self) -> float:
-        """Measured-over-predicted I/O accumulated in the window."""
-        return max(0.0, self.measured_io - self.predicted_io)
 
 
 def partner_seed_boxes(partner: RTree, seed_levels: int) -> list[Rect]:
@@ -102,32 +87,16 @@ def occupancy_skew(tree: SeededTree) -> float:
 
 
 class StalenessTracker:
-    """Accumulates drift evidence between re-baselines.
+    """Accumulates drift evidence between re-baselines."""
 
-    ``window`` bounds the cost history: only the most recent N
-    recorded joins feed the cost-gap signal, so one ancient outlier
-    cannot dominate a decision forever.
-    """
-
-    def __init__(self, window: int = 16) -> None:
-        if window < 1:
-            raise ValueError("cost window must hold at least one run")
-        self.window = window
+    def __init__(self) -> None:
         self._boxes: list[Rect] = []
         self._baseline_mutations = 0
-        self._runs: list[tuple[float, float]] = []  # (predicted, measured)
 
     def rebaseline(self, partner: RTree, tree: SeededTree) -> None:
         """Record the partner boxes the current seeds correspond to."""
         self._boxes = partner_seed_boxes(partner, tree.seed_levels)
         self._baseline_mutations = partner.mutations
-        self._runs = []
-
-    def record_run(self, predicted_io: float, measured_io: float) -> None:
-        """Feed one measured join (planner estimate vs accounted I/O)."""
-        self._runs.append((float(predicted_io), float(measured_io)))
-        if len(self._runs) > self.window:
-            del self._runs[0]
 
     def seed_dilation(self, partner: RTree, seed_levels: int) -> float:
         """Area-weighted growth of recorded boxes to cover current ones.
@@ -153,16 +122,8 @@ class StalenessTracker:
         return growth / base_area
 
     def measure(self, partner: RTree, tree: SeededTree) -> StalenessSnapshot:
-        predicted = sum(p for p, _ in self._runs)
-        measured = sum(m for _, m in self._runs)
-        gap = (measured / predicted - 1.0) if predicted > 0 else 0.0
         return StalenessSnapshot(
             seed_dilation=self.seed_dilation(partner, tree.seed_levels),
             occupancy_skew=occupancy_skew(tree),
-            cost_gap=gap,
             partner_churn=partner.mutations - self._baseline_mutations,
-            runs=len(self._runs),
-            predicted_io=predicted,
-            measured_io=measured,
-            tree_pages=tree.num_nodes(),
         )

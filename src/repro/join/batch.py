@@ -58,7 +58,7 @@ def column_tree_of(tree: Any) -> ColumnTree | None:
     The version stamp is ``(tree.mutations, tree.root_id)``: every
     mutating lane bumps ``mutations`` (R-tree insert/delete, retained
     seeded-tree insert/delete — the dynamic-update maintenance path —
-    and seeded construction's graft/cleanup), and root replacement
+    and seeded construction's cleanup), and root replacement
     covers the root-split/collapse edge. Building reads nodes through
     the unaccounted peek path (`iter_nodes`), so a snapshot never
     perturbs the cost model.

@@ -47,8 +47,9 @@ from ..metrics.tracing import JoinTrace, TraceSpan, shift_span_times
 from ..partition import (
     GridPartitioner,
     PartitionStats,
+    ShardDescriptor,
     joint_universe,
-    make_shards,
+    make_shard_descriptors,
 )
 from ..storage import BufferPool, RecoveryPolicy
 from ..storage.datafile import DataEntry
@@ -351,10 +352,11 @@ class JoinPipeline:
 class _PartitionTask:
     """Everything one tile's join needs.
 
-    Built in-process from materialized shards, or inside a pool worker
-    from a :class:`~repro.parallel.TileJob` and the shared columns.
-    Either way the tile builds its own :class:`~repro.workspace.Workspace`
-    from the entries, so no simulated disk, buffer, or tree is shared.
+    Built in-process from sliced shard descriptors, or inside a pool
+    worker from a :class:`~repro.parallel.TileJob` and the shared
+    columns. Either way the tile builds its own
+    :class:`~repro.workspace.Workspace` from the entries, so no
+    simulated disk, buffer, or tree is shared.
     """
 
     index: int
@@ -371,9 +373,10 @@ class _PartitionTask:
     recovery: RecoveryPolicy | None = None
     mode: ExecutionMode = field(default_factory=ExecutionMode.from_env)
 
-    @property
-    def needs_data_r(self) -> bool:
-        return self.method in ("NAIVE", "ZJOIN", "2STJ")
+
+def needs_data_r(method: str) -> bool:
+    """Does a tile's ``method`` join read ``D_R`` as a data file?"""
+    return method in ("NAIVE", "ZJOIN", "2STJ")
 
 
 @dataclass
@@ -456,7 +459,7 @@ def build_partition_substrate(task: _PartitionTask) -> _PartitionSubstrate:
     )
     file_s = ws.install_datafile(task.entries_s, name=f"D_S[p{task.index}]")
     file_r = None
-    if task.needs_data_r:
+    if needs_data_r(task.method):
         file_r = ws.install_datafile(
             task.entries_r, name=f"D_R[p{task.index}]"
         )
@@ -549,24 +552,30 @@ def _lpt_makespan(costs: list[float], workers: int) -> float:
 
 @dataclass
 class _ParallelPlan:
-    """One parallel join's resolved inputs, in either representation.
+    """One parallel join's resolved inputs.
 
-    ``dataset``/``grid``/``descriptors`` (shared columns plus row
-    indices) when the inputs were published for the pool, or ``shards``
-    (materialized entries) when they were not — ``unpooled`` then says
-    why, and the join runs in-process. ``tile_counts`` and
-    ``seq_units`` feed the planner guard either way.
+    ``descriptors`` index the two lists in ``entries`` (``(entries_r,
+    entries_s)``); a published dataset supplies its own lists, plus
+    ``dataset``/``grid`` for the pool. When the inputs were not
+    published, ``unpooled`` says why, and the join runs in-process.
+    ``tile_counts`` and ``seq_units`` feed the planner guard either way.
     """
 
     partitioner: Any
     pooled: bool
-    seq_units: int
-    tile_counts: list[tuple[int, int]]
-    shards: list[Any] | None = None
+    descriptors: list[ShardDescriptor]
+    entries: tuple[list[DataEntry], list[DataEntry]]
     dataset: Any | None = None
     grid: Any | None = None
-    descriptors: list[Any] | None = None
     unpooled: str = ""
+
+    @property
+    def seq_units(self) -> int:
+        return len(self.entries[0]) + len(self.entries[1])
+
+    @property
+    def tile_counts(self) -> list[tuple[int, int]]:
+        return [(d.n_r, d.n_s) for d in self.descriptors]
 
 
 class ParallelExecutor:
@@ -574,13 +583,14 @@ class ParallelExecutor:
 
     The universe of both inputs is tiled into a uniform grid
     (:class:`~repro.partition.GridPartitioner`); both inputs are split
-    into boundary-replicated shards; each productive tile becomes an
-    independent per-partition pipeline run in its own seeded
-    disk/buffer substrate (deterministic per-partition accounting); the
-    reference-point rule dedups answers tile-locally; and the parent
-    merges pair sets, I/O / CPU / fault counters, and trace spans into
-    one :class:`~repro.join.result.JoinResult` whose accounting is the
-    exact sum of the per-partition counters.
+    into boundary-replicated shard descriptors (per-tile row indices);
+    each productive tile becomes an independent per-partition pipeline
+    run in its own seeded disk/buffer substrate (deterministic
+    per-partition accounting); the reference-point rule dedups answers
+    tile-locally; and the parent merges pair sets, I/O / CPU / fault
+    counters, and trace spans into one
+    :class:`~repro.join.result.JoinResult` whose accounting is the exact
+    sum of the per-partition counters.
 
     Execution picks between two routes, recorded on the result as a
     :class:`~repro.join.result.ParallelDecision`:
@@ -591,9 +601,9 @@ class ParallelExecutor:
       per-tile substrates kept warm between joins.
     * **in-process** (``workers=1``, the planner guard predicting a
       slowdown, or inputs the pool cannot publish — oids beyond
-      int64): the same per-tile plan run inline, no pool — the
-      differential harness uses this to separate partitioning effects
-      from multiprocessing effects.
+      int64): the same descriptors sliced into per-tile entry lists
+      and run inline, no pool — the differential harness uses this to
+      separate partitioning effects from multiprocessing effects.
     """
 
     def __init__(
@@ -650,7 +660,9 @@ class ParallelExecutor:
             outcomes = self._run_plan(
                 plan, decision, trace is not None, recovery, mode,
             )
-            result = self._merge(outcomes, metrics, trace, base, sanitizer)
+            result = self._merge(
+                plan, outcomes, metrics, trace, base, sanitizer,
+            )
             result.parallel_decision = decision
             return result
 
@@ -702,26 +714,20 @@ class ParallelExecutor:
             partitioner = GridPartitioner.for_tile_count(
                 universe, self.partitions
             )
-            shards = make_shards(partitioner, entries_r, entries_s)
-            self._partitioner = partitioner
-            self._shards = shards
+            descriptors = make_shard_descriptors(
+                partitioner, entries_r, entries_s
+            )
             return _ParallelPlan(
                 partitioner=partitioner,
                 pooled=False,
-                seq_units=len(entries_r) + len(entries_s),
-                tile_counts=[
-                    (len(s.entries_r), len(s.entries_s)) for s in shards
-                ],
-                shards=shards,
+                descriptors=descriptors,
+                entries=(entries_r, entries_s),
                 unpooled=unpooled,
             )
 
     def _empty_plan(self) -> _ParallelPlan:
-        self._partitioner = None
-        self._shards = []
         return _ParallelPlan(
-            partitioner=None, pooled=False, seq_units=0, tile_counts=[],
-            shards=[],
+            partitioner=None, pooled=False, descriptors=[], entries=([], []),
         )
 
     def _pool_wanted(
@@ -783,16 +789,13 @@ class ParallelExecutor:
             except ParallelError:
                 return None
         partitioner, descriptors, grid = dataset.grid(self.partitions)
-        self._partitioner = partitioner
-        self._shards = descriptors
         return _ParallelPlan(
             partitioner=partitioner,
             pooled=True,
-            seq_units=len(dataset.entries_r) + len(dataset.entries_s),
-            tile_counts=[(d.n_r, d.n_s) for d in descriptors],
+            descriptors=descriptors,
+            entries=(dataset.entries_r, dataset.entries_s),
             dataset=dataset,
             grid=grid,
-            descriptors=descriptors,
         )
 
     # ----------------------------------------------------------------- #
@@ -893,41 +896,24 @@ class ParallelExecutor:
         mode: ExecutionMode,
     ) -> list[_PartitionTask]:
         partitioner = plan.partitioner
-        if plan.shards is not None:
-            sliced = [
-                (s.tile.index, s.entries_r, s.entries_s) for s in plan.shards
-            ]
-        else:
-            # Descriptor indices reproduce the materialized shard order
-            # exactly (see shard.py), so both representations feed the
-            # in-process path bit-identically.
-            er = plan.dataset.entries_r
-            es = plan.dataset.entries_s
-            sliced = [
-                (
-                    d.tile.index,
-                    [er[i] for i in d.indices_r],
-                    [es[i] for i in d.indices_s],
-                )
-                for d in plan.descriptors
-            ]
+        er, es = plan.entries
         return [
             _PartitionTask(
-                index=index,
+                index=d.tile.index,
                 method=self.method,
                 config=self.config,
                 universe=partitioner.universe.as_tuple(),
                 rows=partitioner.rows,
                 cols=partitioner.cols,
-                entries_r=entries_r,
-                entries_s=entries_s,
+                entries_r=[er[i] for i in d.indices_r],
+                entries_s=[es[i] for i in d.indices_s],
                 options=self.options,
-                seed=derive_seed(self.seed, "partition", index),
+                seed=derive_seed(self.seed, "partition", d.tile.index),
                 want_trace=want_trace,
                 recovery=recovery,
                 mode=mode,
             )
-            for index, entries_r, entries_s in sliced
+            for d in plan.descriptors
         ]
 
     # ----------------------------------------------------------------- #
@@ -936,13 +922,14 @@ class ParallelExecutor:
 
     def _merge(
         self,
+        plan: _ParallelPlan,
         outcomes: list[_PartitionOutcome],
         metrics: MetricsCollector,
         trace: JoinTrace | None,
         base: float,
         sanitizer: Sanitizer | None = None,
     ) -> JoinResult:
-        tiles = {shard.tile.index: shard.tile for shard in self._shards}
+        tiles = {d.tile.index: d.tile for d in plan.descriptors}
         stats: list[PartitionStats] = []
         pairs: list[tuple[int, int]] = []
         degraded = False

@@ -111,10 +111,10 @@ class GridIndexDescriptor:
 class PublishedDataset:
     """Parent-side owner of one dataset's shared segments.
 
-    Holds the original entry lists too: the in-process (``workers=1``
-    or guard-fallback) path materializes its shards from them with zero
-    re-extraction, and they are the ground truth the shared columns
-    were copied from.
+    Holds the original entry lists too: the in-process (guard-fallback)
+    path slices its per-tile entry lists from them by descriptor with
+    zero re-extraction, and they are the ground truth the shared
+    columns were copied from.
     """
 
     def __init__(
@@ -270,8 +270,9 @@ class AttachedDataset:
         """Reconstruct one tile's ``(entries_r, entries_s)``.
 
         Row order equals the parent's scatter order, so a substrate
-        built from these lists is bit-identical to one built from the
-        materialized :class:`~repro.partition.Shard` twin.
+        built from these lists is bit-identical to one the in-process
+        route builds by slicing the same
+        :class:`~repro.partition.ShardDescriptor`.
         """
         csr_r, csr_s = self._csr_for(grid)
         return (

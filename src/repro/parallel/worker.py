@@ -33,6 +33,7 @@ from ..join.engine import (
     _PartitionTask,
     build_partition_substrate,
     join_on_substrate,
+    needs_data_r,
 )
 from ..storage import RecoveryPolicy
 from .dataset import AttachedDataset, DatasetDescriptor, GridIndexDescriptor
@@ -135,7 +136,7 @@ class TileRunner:
             )
         skey = (
             job.dataset_key, job.version, job.grid.rows, job.grid.cols,
-            job.tile, self._needs_data_r(job.method), job.config, job.mode,
+            job.tile, needs_data_r(job.method), job.config, job.mode,
         )
         cached = self._substrates.get(skey)
         if cached is None:
@@ -155,10 +156,6 @@ class TileRunner:
             substrate.setup_s = 0.0
             task = self._task(job, entries_r, entries_s)
         return pack_outcome(join_on_substrate(task, substrate))
-
-    @staticmethod
-    def _needs_data_r(method: str) -> bool:
-        return method in ("NAIVE", "ZJOIN", "2STJ")
 
     @staticmethod
     def _task(

@@ -1,18 +1,16 @@
 """Splitting join inputs into per-tile shards.
 
-A :class:`Shard` is everything one partition's join needs: the tile, and
-the (boundary-replicated) entries of both inputs that overlap it. Shards
-ship to worker processes as plain entry lists — each worker builds its
-own disk/buffer substrate from them, so no simulated-storage state ever
-crosses a process boundary.
-
-A :class:`ShardDescriptor` is the pooled executor's lightweight twin:
-instead of materialized entry copies it carries *row indices* into the
-dataset's column arrays (the order is exactly the order
-:func:`make_shards` would have appended the same entries, so a substrate
-built from either representation is bit-identical). Descriptors are what
-the persistent worker pool ships — the entries themselves travel once,
-through shared-memory columns, not once per join per tile.
+A :class:`ShardDescriptor` is everything one partition's join needs:
+the tile, and *row indices* into both inputs' entry lists naming the
+(boundary-replicated) entries that overlap it. Each side's indices
+follow input order, so ``[entries[i] for i in indices]`` is the tile's
+entry list in a fixed order and a substrate built from it is
+deterministic. Descriptors are what the persistent worker pool ships —
+the entries themselves travel once, through shared-memory columns, not
+once per join per tile — and what the in-process route slices into
+per-tile entry lists. Each tile builds its own disk/buffer substrate
+from those lists, so no simulated-storage state ever crosses a process
+boundary.
 """
 
 from __future__ import annotations
@@ -24,27 +22,11 @@ from ..storage.datafile import DataEntry
 from .grid import GridPartitioner, Tile
 
 __all__ = [
-    "Shard",
     "ShardDescriptor",
     "joint_universe",
-    "make_shards",
     "make_shard_descriptors",
     "shard_index_csr",
 ]
-
-
-@dataclass
-class Shard:
-    """One tile's slice of both join inputs (boundary-replicated)."""
-
-    tile: Tile
-    entries_r: list[DataEntry] = field(default_factory=list)
-    entries_s: list[DataEntry] = field(default_factory=list)
-
-    @property
-    def is_productive(self) -> bool:
-        """Can this shard contribute pairs? Needs both sides non-empty."""
-        return bool(self.entries_r) and bool(self.entries_s)
 
 
 def joint_universe(*entry_sets: list[DataEntry]) -> Rect | None:
@@ -59,90 +41,13 @@ def joint_universe(*entry_sets: list[DataEntry]) -> Rect | None:
     return union_all(rects)
 
 
-def _scatter(
-    partitioner: GridPartitioner,
-    entries: list[DataEntry],
-    buckets: list[list[DataEntry]],
-) -> None:
-    """Append each entry to the bucket of every tile it overlaps.
-
-    This is :meth:`GridPartitioner.tiles_for` with the clamped-floor
-    arithmetic inlined: the scatter pass is the only serial O(n) work
-    the parent does per parallel join, and most rectangles land in
-    exactly one tile, so shaving the per-entry call overhead directly
-    shortens the sequential section of every run. The formulas must
-    stay in lock-step with ``_axis_index`` — the property suite checks
-    shard membership against ``tiles_for`` to enforce that.
-    """
-    u = partitioner.universe
-    xlo0, ylo0 = u.xlo, u.ylo
-    step_x, step_y = partitioner.tile_w, partitioner.tile_h
-    cols, rows = partitioner.cols, partitioner.rows
-    cmax, rmax = cols - 1, rows - 1
-    flat_x = step_x <= 0.0 or cols == 1
-    flat_y = step_y <= 0.0 or rows == 1
-    for entry in entries:
-        rect = entry[0]
-        if flat_x:
-            c_lo = c_hi = 0
-        else:
-            c_lo = int((rect.xlo - xlo0) / step_x)
-            c_lo = 0 if c_lo < 0 else (cmax if c_lo > cmax else c_lo)
-            c_hi = int((rect.xhi - xlo0) / step_x)
-            c_hi = 0 if c_hi < 0 else (cmax if c_hi > cmax else c_hi)
-        if flat_y:
-            r_lo = r_hi = 0
-        else:
-            r_lo = int((rect.ylo - ylo0) / step_y)
-            r_lo = 0 if r_lo < 0 else (rmax if r_lo > rmax else r_lo)
-            r_hi = int((rect.yhi - ylo0) / step_y)
-            r_hi = 0 if r_hi < 0 else (rmax if r_hi > rmax else r_hi)
-        if c_lo == c_hi and r_lo == r_hi:
-            buckets[r_lo * cols + c_lo].append(entry)
-        else:
-            for row in range(r_lo, r_hi + 1):
-                base = row * cols
-                for col in range(c_lo, c_hi + 1):
-                    buckets[base + col].append(entry)
-
-
-def make_shards(
-    partitioner: GridPartitioner,
-    entries_r: list[DataEntry],
-    entries_s: list[DataEntry],
-    keep_unproductive: bool = False,
-) -> list[Shard]:
-    """Replicate both inputs into per-tile shards.
-
-    Every rectangle lands in every tile it overlaps (so each tile's join
-    is self-contained); tiles missing one side entirely cannot produce a
-    pair and are dropped unless ``keep_unproductive`` — skipping them is
-    the executor's main pruning win, and per-partition accounting only
-    sums over shards that actually ran.
-    """
-    shards = [Shard(tile=tile) for tile in partitioner.tiles]
-    _scatter(partitioner, entries_r, [shard.entries_r for shard in shards])
-    _scatter(partitioner, entries_s, [shard.entries_s for shard in shards])
-    return [
-        shard for shard in shards
-        if keep_unproductive or shard.is_productive
-    ]
-
-
-# --------------------------------------------------------------------- #
-# Descriptor shards (pooled executor)
-# --------------------------------------------------------------------- #
-
-
 @dataclass
 class ShardDescriptor:
     """One tile's slice of both inputs, as row indices into columns.
 
-    ``indices_r``/``indices_s`` index the dataset's entry list (and thus
-    its shared coordinate/oid columns) in the exact order
-    :func:`make_shards` would have materialized the same shard, so
-    ``[entries[i] for i in indices_r]`` reproduces ``Shard.entries_r``
-    element for element.
+    ``indices_r``/``indices_s`` index the input entry lists (and thus a
+    published dataset's shared coordinate/oid columns) in input order;
+    an entry that overlaps several tiles appears in each of them.
     """
 
     tile: Tile
@@ -159,7 +64,7 @@ class ShardDescriptor:
 
     @property
     def is_productive(self) -> bool:
-        """Same pruning rule as :attr:`Shard.is_productive`."""
+        """Can this shard contribute pairs? Needs both sides non-empty."""
         return bool(self.indices_r) and bool(self.indices_s)
 
 
@@ -168,12 +73,16 @@ def _scatter_indices(
     entries: list[DataEntry],
     buckets: list[list[int]],
 ) -> None:
-    """:func:`_scatter`, appending entry *positions* instead of entries.
+    """Append each entry's position to the bucket of every tile it
+    overlaps.
 
-    Kept as a separate loop rather than an indirection inside
-    ``_scatter`` so neither pass pays a per-entry branch; the clamped
-    floor arithmetic must stay in lock-step with ``_scatter`` and
-    ``_axis_index`` (the property suite cross-checks all three).
+    This is :meth:`GridPartitioner.tiles_for` with the clamped-floor
+    arithmetic inlined: the scatter pass is the only serial O(n) work
+    the parent does per parallel join, and most rectangles land in
+    exactly one tile, so shaving the per-entry call overhead directly
+    shortens the sequential section of every run. The formulas must
+    stay in lock-step with ``_axis_index`` — the property suite checks
+    descriptor membership against ``tiles_for`` to enforce that.
     """
     u = partitioner.universe
     xlo0, ylo0 = u.xlo, u.ylo
@@ -213,10 +122,13 @@ def make_shard_descriptors(
     entries_s: list[DataEntry],
     keep_unproductive: bool = False,
 ) -> list[ShardDescriptor]:
-    """Index-only shards, one per (productive) tile.
+    """Replicate both inputs into per-tile index shards.
 
-    Observationally equivalent to :func:`make_shards` — same tiles kept,
-    same per-tile entry order — but the entries stay where they are.
+    Every rectangle lands in every tile it overlaps (so each tile's join
+    is self-contained); tiles missing one side entirely cannot produce a
+    pair and are dropped unless ``keep_unproductive`` — skipping them is
+    the executor's main pruning win, and per-partition accounting only
+    sums over shards that actually ran.
     """
     descriptors = [ShardDescriptor(tile=tile) for tile in partitioner.tiles]
     _scatter_indices(

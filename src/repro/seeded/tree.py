@@ -562,47 +562,6 @@ class SeededTree:
                 rect if slot.true_mbr is None else slot.true_mbr.union(rect)
             )
 
-    def attach_subtree(
-        self, mbr: Rect, root_id: int, root_level: int, count: int,
-    ) -> None:
-        """Graft an existing subtree into a slot (incremental re-seed).
-
-        Used while re-seeding a drifted tree: instead of re-inserting
-        every object through the new seed levels, whole grown subtrees
-        harvested from the old tree (whose pages are already on disk,
-        in the same buffer pool) are descended like one fat insert and
-        hung off the chosen slot. An occupied slot gains a small
-        *collector* node holding both subtrees — seeded trees tolerate
-        unbalance, and :meth:`cleanup` computes levels bottom-up — so
-        repeated grafts nest rather than rebalance.
-        """
-        if self.phase is not TreePhase.SEEDED:
-            raise TreePhaseError(
-                f"cannot attach a subtree in phase {self.phase.value}"
-            )
-        if count <= 0:
-            raise SeedingError("attached subtree must hold data")
-        slot = self._descend_to_slot(mbr)
-        if slot.root_id == -1:
-            slot.root_id = root_id
-            slot.root_level = root_level
-            slot.true_mbr = mbr
-        else:
-            assert slot.true_mbr is not None
-            existing = Entry(slot.true_mbr, slot.root_id)
-            grafted = Entry(mbr, root_id)
-            level = max(slot.root_level, root_level) + 1
-            collector = new_node(self, level, [existing, grafted])
-            slot.root_id = collector.page_id
-            slot.root_level = level
-            slot.true_mbr = slot.true_mbr.union(mbr)
-        slot.count += count
-        self._count += count
-        # Grafts restructure the tree outside the ordinary insert path;
-        # bump the version stamp so columnar snapshots cannot survive an
-        # incremental re-seed (see repro.join.batch.column_tree_of).
-        self.mutations += 1
-
     # ----------------------------------------------------------------- #
     # Phase 3: clean-up
     # ----------------------------------------------------------------- #
@@ -634,7 +593,8 @@ class SeededTree:
         self._seed_page_ids = []
         # One stamp bump covers the whole construction epoch: snapshots
         # are only taken from READY trees, so invalidating at the phase
-        # transition subsumes every grow/graft/salvage mutation.
+        # transition subsumes every mutation made while growing,
+        # including an adopted crash salvage.
         self.mutations += 1
         self.phase = TreePhase.READY
 

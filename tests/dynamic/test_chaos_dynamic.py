@@ -61,7 +61,7 @@ def _schedule_run(seed: int) -> None:
         # exactness check below compares real pair sets.
         dataset_params={"cover_quotient": 1.0, "data_side_bound": 0.03,
                         "objects_per_cluster": 40},
-        policy=StalenessThreshold(incremental_at=0.1, rebuild_at=3.0),
+        policy=StalenessThreshold(rebuild_at=0.1),
         injector=injector,
     )
     injector.arm()

@@ -1,5 +1,5 @@
-"""Re-seed policies and procedures: decisions from snapshots, and both
-maintenance procedures preserving the live set exactly."""
+"""Re-seed policies and the rebuild procedure: decisions from snapshots,
+and the rebuilt successor preserving the live set exactly."""
 
 from __future__ import annotations
 
@@ -7,14 +7,12 @@ import pytest
 
 from repro.dynamic import (
     AlwaysRebuild,
-    CostCrossover,
     IncrementalJoin,
     NeverReseed,
     ReseedDecision,
     ReseedManager,
     StalenessThreshold,
     UpdateStream,
-    incremental_reseed,
     rebuild_seeded,
 )
 from repro.dynamic.staleness import StalenessSnapshot
@@ -27,11 +25,7 @@ from .conftest import DYN_CONFIG
 
 
 def _snap(**kwargs) -> StalenessSnapshot:
-    base = dict(
-        seed_dilation=0.0, occupancy_skew=1.0, cost_gap=0.0,
-        partner_churn=0, runs=5, predicted_io=100.0, measured_io=100.0,
-        tree_pages=100,
-    )
+    base = dict(seed_dilation=0.0, occupancy_skew=1.0, partner_churn=0)
     base.update(kwargs)
     return StalenessSnapshot(**base)
 
@@ -40,7 +34,7 @@ class TestPolicies:
     def test_never_reseed_never_fires(self):
         policy = NeverReseed()
         assert policy.decide(
-            _snap(seed_dilation=99.0, measured_io=1e9)
+            _snap(seed_dilation=99.0, occupancy_skew=99.0, partner_churn=9)
         ) is ReseedDecision.NONE
 
     def test_always_rebuild_needs_churn(self):
@@ -51,37 +45,20 @@ class TestPolicies:
         ) is ReseedDecision.REBUILD
 
     def test_staleness_threshold_ladder(self):
-        policy = StalenessThreshold(incremental_at=0.25, rebuild_at=2.0,
-                                    skew_at=4.0)
-        assert policy.decide(_snap(seed_dilation=0.1)) is ReseedDecision.NONE
+        policy = StalenessThreshold(rebuild_at=2.0, skew_at=4.0)
         assert policy.decide(
-            _snap(seed_dilation=0.5)
-        ) is ReseedDecision.INCREMENTAL
+            _snap(seed_dilation=1.9, occupancy_skew=3.9)
+        ) is ReseedDecision.NONE
         assert policy.decide(
-            _snap(occupancy_skew=5.0)
-        ) is ReseedDecision.INCREMENTAL
+            _snap(seed_dilation=2.0)
+        ) is ReseedDecision.REBUILD
         assert policy.decide(
-            _snap(seed_dilation=3.0)
+            _snap(occupancy_skew=4.0)
         ) is ReseedDecision.REBUILD
 
     def test_staleness_threshold_validates_bars(self):
         with pytest.raises(ValueError):
-            StalenessThreshold(incremental_at=2.0, rebuild_at=1.0)
-
-    def test_cost_crossover_triggers_on_excess(self):
-        policy = CostCrossover(min_runs=3)
-        quiet = _snap(measured_io=110.0)  # excess 10 < 0.3 * 100
-        assert policy.decide(quiet) is ReseedDecision.NONE
-        mid = _snap(measured_io=150.0)  # excess 50 >= 30, < 220
-        assert policy.decide(mid) is ReseedDecision.INCREMENTAL
-        heavy = _snap(measured_io=400.0)  # excess 300 >= 220
-        assert policy.decide(heavy) is ReseedDecision.REBUILD
-
-    def test_cost_crossover_waits_for_evidence(self):
-        policy = CostCrossover(min_runs=3)
-        assert policy.decide(
-            _snap(runs=2, measured_io=1e6)
-        ) is ReseedDecision.NONE
+            StalenessThreshold(rebuild_at=0)
 
 
 def _world(n: int = 250):
@@ -95,11 +72,10 @@ def _world(n: int = 250):
 
 
 class TestProcedures:
-    @pytest.mark.parametrize("procedure", (rebuild_seeded, incremental_reseed))
+    @pytest.mark.parametrize("procedure", (rebuild_seeded,))
     def test_successor_holds_exactly_the_live_set(self, procedure):
         ws, partner, tree_s, live_s = _world()
         successor = procedure(ws, tree_s, partner)
-        assert successor is not None
         successor.validate()
         assert len(successor) == len(live_s)
         everything = Rect(0.0, 0.0, 1.0, 1.0)
@@ -110,34 +86,6 @@ class TestProcedures:
         before = ws.metrics.summary().construct_io
         rebuild_seeded(ws, tree_s, partner)
         assert ws.metrics.summary().construct_io > before
-
-    def test_incremental_is_cheaper_than_rebuild(self):
-        """The whole point of grafting: an incremental re-seed must move
-        far less accounted I/O than a full rebuild of the same tree."""
-        ws_a, partner_a, tree_a, _ = _world()
-        before = ws_a.metrics.summary().construct_io
-        incremental_reseed(ws_a, tree_a, partner_a)
-        incr_cost = ws_a.metrics.summary().construct_io - before
-
-        ws_b, partner_b, tree_b, _ = _world()
-        before = ws_b.metrics.summary().construct_io
-        rebuild_seeded(ws_b, tree_b, partner_b)
-        rebuild_cost = ws_b.metrics.summary().construct_io - before
-
-        assert incr_cost < rebuild_cost
-
-    def test_reseeded_join_equals_rebuilt_join(self):
-        """Both procedures permute structure, not data: joins through
-        either successor produce identical pair sets."""
-        ws_a, partner_a, tree_a, _ = _world()
-        ws_b, partner_b, tree_b, _ = _world()
-        grafted = incremental_reseed(ws_a, tree_a, partner_a)
-        rebuilt = rebuild_seeded(ws_b, tree_b, partner_b)
-        assert grafted is not None
-        pairs_grafted = sorted(ws_a.match_resident(grafted, partner_a))
-        pairs_rebuilt = sorted(ws_b.match_resident(rebuilt, partner_b))
-        assert pairs_grafted == pairs_rebuilt
-        assert pairs_grafted  # non-vacuous
 
 
 class TestManager:
@@ -169,7 +117,7 @@ class TestManager:
         decision, snap = manager.evaluate()
         assert decision is ReseedDecision.NONE
         assert manager.tree is original
-        assert manager.reseeds == 0 and manager.rebuilds == 0
+        assert manager.rebuilds == 0
 
     def test_rebuild_fires_and_repoints_subscribers(self):
         ws, manager, stream_s, stream_r, inc = self._managed(AlwaysRebuild())
@@ -187,13 +135,14 @@ class TestManager:
         fresh = sorted(ws.match_resident(manager.tree, manager.partner))
         assert inc.pairs() == fresh
 
-    def test_incremental_fires_under_low_threshold(self):
-        policy = StalenessThreshold(incremental_at=1e-6, rebuild_at=1e6)
+    def test_threshold_fires_a_rebuild(self):
+        policy = StalenessThreshold(rebuild_at=1e-6)
         ws, manager, stream_s, stream_r, inc = self._managed(policy)
         stream_r.step(60)
         decision, snap = manager.evaluate()
-        assert decision is ReseedDecision.INCREMENTAL
-        assert manager.reseeds == 1
+        assert snap.seed_dilation >= policy.rebuild_at
+        assert decision is ReseedDecision.REBUILD
+        assert manager.rebuilds == 1
         manager.tree.validate()
         fresh = sorted(ws.match_resident(manager.tree, manager.partner))
         assert inc.pairs() == fresh

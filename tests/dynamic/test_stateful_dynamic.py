@@ -158,13 +158,12 @@ class DynamicJoinMachine(RuleBasedStateMachine):
         assert pairs == self.inc.pairs()
         assert pairs == oracle_pairs(self.stream_s.live,
                                      self.stream_r.live)
-        self.manager.record_run(float(len(pairs)), float(len(pairs)))
 
     @rule(policy=st.sampled_from(("rebuild", "threshold")))
     def reseed(self, policy):
         self.manager.policy = (
             AlwaysRebuild() if policy == "rebuild"
-            else StalenessThreshold(incremental_at=0.05, rebuild_at=1e6)
+            else StalenessThreshold(rebuild_at=0.05)
         )
         self.manager.evaluate()
         self.manager.policy = NeverReseed()

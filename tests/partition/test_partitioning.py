@@ -27,7 +27,11 @@ from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
 from repro.geometry import Rect
-from repro.partition import GridPartitioner, joint_universe, make_shards
+from repro.partition import (
+    GridPartitioner,
+    joint_universe,
+    make_shard_descriptors,
+)
 
 from ..strategies import rects, small_rects
 
@@ -242,25 +246,37 @@ def test_make_shards_partitions_all_entries(ra, rb):
     universe = joint_universe(entries_r, entries_s)
     assert universe is not None
     part = GridPartitioner.for_tile_count(universe, 9)
-    shards = make_shards(part, entries_r, entries_s, keep_unproductive=True)
-    assert len(shards) == part.num_tiles
-    # The scatter pass inlines tiles_for's arithmetic; membership must
-    # agree with the canonical method exactly.
-    for shard in shards:
-        assert [e for e in entries_r
-                if shard.tile.index in part.tiles_for(e[0])] == shard.entries_r
-        assert [e for e in entries_s
-                if shard.tile.index in part.tiles_for(e[0])] == shard.entries_s
-    # Replication means every oid appears in >= 1 shard.
-    seen_r = {oid for s in shards for _, oid in s.entries_r}
-    seen_s = {oid for s in shards for _, oid in s.entries_s}
-    assert seen_r == {oid for _, oid in entries_r}
-    assert seen_s == {oid for _, oid in entries_s}
-    # Dropping unproductive shards removes only tiles missing a side.
-    productive = make_shards(part, entries_r, entries_s)
-    assert [s.tile.index for s in productive] == [
-        s.tile.index for s in shards if s.entries_r and s.entries_s
+    shards = make_shard_descriptors(
+        part, entries_r, entries_s, keep_unproductive=True
+    )
+    assert [d.tile.index for d in shards] == list(range(part.num_tiles))
+    # The scatter pass inlines tiles_for's arithmetic; membership and
+    # order must agree with the canonical method exactly.
+    for d in shards:
+        t = d.tile.index
+        assert d.indices_r == [
+            i for i, e in enumerate(entries_r) if t in part.tiles_for(e[0])
+        ]
+        assert d.indices_s == [
+            i for i, e in enumerate(entries_s) if t in part.tiles_for(e[0])
+        ]
+    # Replication means every index lands in >= 1 tile.
+    assert {i for d in shards for i in d.indices_r} == set(
+        range(len(entries_r))
+    )
+    assert {i for d in shards for i in d.indices_s} == set(
+        range(len(entries_s))
+    )
+    # Dropping unproductive tiles removes only tiles missing a side.
+    productive = make_shard_descriptors(part, entries_r, entries_s)
+    assert [d.tile.index for d in productive] == [
+        d.tile.index for d in shards if d.indices_r and d.indices_s
     ]
+    for kept in productive:
+        full = shards[kept.tile.index]
+        assert (kept.indices_r, kept.indices_s) == (
+            full.indices_r, full.indices_s
+        )
 
 
 def test_joint_universe_empty():
