@@ -5,8 +5,10 @@ columnar tree snapshot into flat traversal programs — which pages the
 scalar algorithms would fetch, what they would charge, what they would
 emit. This module is the *impure* half: it owns the snapshots (built
 from unaccounted peeks, cached on the tree, invalidated by the
-``mutations`` version stamp) and replays the plans through the real
-buffer so the cost model observes the exact scalar behavior:
+``mutations`` version stamp), keeps the lowered plans in the persistent
+tree's :class:`~repro.join.warm_cache.WarmCache`, and replays the plans
+through the real buffer so the cost model observes the exact scalar
+behavior:
 
 * the same ``fetch``/``pin``/``unpin`` calls in the same order (LRU
   state, hit/miss split, eviction and fault positions all preserved);
@@ -40,8 +42,10 @@ import numpy as np
 from ..kernels.node_store import ColumnTree, build_match_plans, build_window_plans
 from ..metrics import MetricsCollector
 from .result import JoinPair
+from .warm_cache import warm_cache_of
 
 __all__ = [
+    "carry_column_tree",
     "column_tree_of",
     "match_trees_batch",
     "window_join_batch",
@@ -92,66 +96,81 @@ def column_tree_of(tree: Any) -> ColumnTree | None:
     return snapshot
 
 
+def carry_column_tree(tree: Any, snapshot: ColumnTree | None) -> None:
+    """Give ``tree`` a snapshot derived without reading its nodes.
+
+    For a caller that knows ``snapshot`` equals what
+    :func:`column_tree_of` would build at the tree's current stamp —
+    construction replay, whose tree is the recorded one moved to fresh
+    pages (:func:`~repro.kernels.node_store.shift_pages`).
+    """
+    tree._column_tree = ((tree.mutations, tree.root_id), snapshot)
+
+
 # --------------------------------------------------------------------- #
 # Batched tree matching (STJ / RTJ / 2STJ match phase)
 # --------------------------------------------------------------------- #
 
 class _PreparedMatch:
-    """A MatchPlan lowered to plain Python lists for the replay loop."""
+    """A MatchPlan lowered to plain Python lists for the replay loop.
 
-    __slots__ = ("anode", "bnode", "pa", "pb", "xy", "cs", "ce",
+    ``peer`` is the ``tree_a`` snapshot the page column ``pa`` is
+    lowered against; ``tree_b`` is the cache's owner, whose snapshot
+    cannot change while the entry lives.
+    """
+
+    __slots__ = ("peer", "anode", "pa", "pb", "xy", "cs", "ce",
                  "es", "ee", "emits")
 
     def __init__(self, ct_a: ColumnTree, ct_b: ColumnTree):
         plan = build_match_plans(ct_a, ct_b)
         self.anode = plan.p_anode
-        self.bnode = plan.p_bnode
+        self.pb = ct_b.page[plan.p_bnode].tolist()
         self.xy = plan.xy.tolist()
         self.cs = plan.child_start.tolist()
         self.ce = plan.child_end.tolist()
         self.es = plan.emit_start.tolist()
         self.ee = plan.emit_end.tolist()
         self.emits = list(zip(plan.emit_a.tolist(), plan.emit_b.tolist()))
-        self.rebind(ct_a, ct_b)
+        self.rebind(ct_a)
 
-    def rebind(self, ct_a: ColumnTree, ct_b: ColumnTree) -> None:
-        """Re-lower the page-id columns against (digest-equal) snapshots.
+    def rebind(self, ct_a: ColumnTree) -> None:
+        """Re-lower the peer's page ids against an equal snapshot.
 
         The plan proper — visit order, child wiring, XY charges, emitted
-        object ids — is a pure function of the structural digest, but
-        the replayed fetch sequence addresses *pages*, and a rebuilt
-        tree lands on fresh page ids. Re-lowering is two gathers.
+        object ids — is a pure function of the two snapshots' structure,
+        but the replayed fetch sequence addresses *pages*, and a rebuilt
+        tree lands on fresh page ids. Re-lowering is one gather.
         """
+        self.peer = ct_a
         self.pa = ct_a.page[self.anode].tolist()
-        self.pb = ct_b.page[self.bnode].tolist()
 
 
 def _prepared_match_of(
-    tree_a: Any, tree_b: Any, ct_a: ColumnTree, ct_b: ColumnTree
+    tree_b: Any, ct_a: ColumnTree, ct_b: ColumnTree
 ) -> _PreparedMatch:
-    """Cache the lowered plan for re-matching, content-addressed.
+    """The lowered plan for ``ct_a`` × ``ct_b``, from ``tree_b``'s cache.
 
-    The cache lives on ``tree_b`` (in STJ/2STJ that is the persistent
-    data tree; the seed-side tree is rebuilt per join). Two lookups:
-
-    * identity — the resident case, both snapshots unchanged;
-    * digest — ``tree_a`` was rebuilt but describes the identical tree
-      (repeated joins over the same inputs, the benchmark's shape), so
-      the plan, which is a pure function of the two snapshots, is
-      reused.
+    In STJ, RTJ and 2STJ ``tree_b`` is the persistent side (``T_R``; the
+    other tree is rebuilt per join). The key is ``ct_a``'s structural
+    digest, so a rebuild of identical inputs — a replayed seeded tree,
+    RTJ's per-join R-tree — finds the plan. A stored plan is reused as
+    is when bound to this very snapshot (a hit), re-lowered when bound
+    to an equal one (a rebind), and replaced otherwise (a miss: nothing
+    stored, or a digest collision).
     """
-    cached = getattr(tree_b, "_batch_match_plan", None)
-    if cached is not None and cached[0] is ct_b:
-        peer = cached[1]
-        if peer is ct_a:
-            return cached[2]
-        if peer.digest() == ct_a.digest():
-            prepared = cached[2]
-            prepared.rebind(ct_a, ct_b)
-            tree_b._batch_match_plan = (ct_b, ct_a, prepared)
-            return prepared
-    prepared = _PreparedMatch(ct_a, ct_b)
-    tree_b._batch_match_plan = (ct_b, ct_a, prepared)
+    cache = warm_cache_of(tree_b)
+    key = ct_a.digest()
+    prepared = cache.lookup("match", key)
+    if prepared is not None and prepared.peer is ct_a:
+        cache.note("match", "hits")
+    elif prepared is not None and prepared.peer.same_structure(ct_a):
+        prepared.rebind(ct_a)
+        cache.note("match", "rebinds")
+    else:
+        cache.note("match", "misses")
+        prepared = _PreparedMatch(ct_a, ct_b)
+        cache.store("match", key, prepared)
     return prepared
 
 
@@ -182,7 +201,7 @@ def match_trees_batch(
     root_b = tree_b.read_node(tree_b.root_id)
     if not root_a.entries or not root_b.entries:
         return []
-    prep = _prepared_match_of(tree_a, tree_b, ct_a, ct_b)
+    prep = _prepared_match_of(tree_b, ct_a, ct_b)
 
     cpu = metrics.cpu if metrics is not None else None
     fetch_a = tree_a.buffer.fetch
@@ -237,9 +256,10 @@ class _PreparedWindow:
     leaf visit.
     """
 
-    __slots__ = ("pages", "weights", "pairs")
+    __slots__ = ("query", "pages", "weights", "pairs")
 
-    def __init__(self, ct: ColumnTree, plan: Any, oids: list):
+    def __init__(self, ct: ColumnTree, plan: Any, oids: list, query: bytes):
+        self.query = query
         cs = plan.child_start.tolist()
         ce = plan.child_end.tolist()
         hs = plan.hit_start.tolist()
@@ -277,11 +297,12 @@ def window_join_batch(rows: list, tree_r: Any) -> list[JoinPair] | None:
 
     ``rows`` is the materialised ``(rect, oid)`` scan of ``D_S``. The
     whole query batch descends the columnar snapshot level-synchronously.
-    The lowered plan is cached on the tree, keyed by snapshot identity
-    and query-batch content, so a resident service probing the same run
-    against the same tree pays only the accounted replay. Returns
-    ``None``, having charged nothing, when ``T_R`` has no snapshot or a
-    query oid does not fit the int64 plan key.
+    The lowered plan is kept in ``tree_r``'s warm cache under a checksum
+    of the query batch, and reused only when the stored batch — oids and
+    coordinates — is bit-for-bit this one, so a resident service probing
+    the same run against the same tree pays only the accounted replay.
+    Returns ``None``, having charged nothing, when ``T_R`` has no
+    snapshot or a query oid does not fit the int64 plan key.
     """
     ct = column_tree_of(tree_r)
     if ct is None:
@@ -303,18 +324,19 @@ def window_join_batch(rows: list, tree_r: Any) -> list[JoinPair] | None:
         packed_oids = np.asarray(oids, dtype=np.int64)
     except OverflowError:
         return None
-    qkey = (
-        nq, zlib.crc32(packed_oids.tobytes()),
-        zlib.crc32(qxlo.tobytes()), zlib.crc32(qylo.tobytes()),
-        zlib.crc32(qxhi.tobytes()), zlib.crc32(qyhi.tobytes()),
+    query = b"".join(
+        column.tobytes() for column in (packed_oids, qxlo, qylo, qxhi, qyhi)
     )
-    cached = getattr(tree_r, "_batch_window_plan", None)
-    if cached is not None and cached[0] is ct and cached[1] == qkey:
-        prep = cached[2]
+    cache = warm_cache_of(tree_r)
+    key = (nq, zlib.crc32(query))
+    prep = cache.lookup("window", key)
+    if prep is not None and prep.query == query:
+        cache.note("window", "hits")
     else:
+        cache.note("window", "misses")
         plan = build_window_plans(ct, qxlo, qylo, qxhi, qyhi)
-        prep = _PreparedWindow(ct, plan, oids)
-        tree_r._batch_window_plan = (ct, qkey, prep)
+        prep = _PreparedWindow(ct, plan, oids, query)
+        cache.store("window", key, prep)
 
     metrics = tree_r.metrics
     cpu = metrics.cpu if metrics is not None else None

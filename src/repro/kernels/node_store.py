@@ -51,6 +51,7 @@ __all__ = [
     "WindowPlan",
     "build_match_plans",
     "build_window_plans",
+    "shift_pages",
     "sweep_pairs_segmented",
 ]
 
@@ -134,17 +135,35 @@ class ColumnTree:
         """
         cached = self._digest
         if cached is None:
-            leaf_ref = self.eref[self.echild < 0]
             crc = zlib.crc32  # content digest, not a seed: stable > salted
             cached = (
                 self.n_nodes, self.n_entries,
-                crc(self.level.tobytes()), crc(self.eoff.tobytes()),
-                crc(self.echild.tobytes()), crc(leaf_ref.tobytes()),
-                crc(self.exlo.tobytes()), crc(self.eylo.tobytes()),
-                crc(self.exhi.tobytes()), crc(self.eyhi.tobytes()),
+                *(crc(column.tobytes()) for column in self._structure()),
             )
             self._digest = cached
         return cached
+
+    def same_structure(self, other: "ColumnTree") -> bool:
+        """Bit-for-bit equality over everything :meth:`digest` covers.
+
+        A digest is a lookup key: its CRC32s can collide. A cache that
+        finds a plan by digest confirms the hit with this comparison
+        before reusing the plan.
+        """
+        if self.n_nodes != other.n_nodes or self.n_entries != other.n_entries:
+            return False
+        return all(
+            a is b or a.tobytes() == b.tobytes()
+            for a, b in zip(self._structure(), other._structure())
+        )
+
+    def _structure(self) -> tuple:
+        """The columns a traversal plan is a function of: levels, CSR
+        offsets, child wiring, leaf refs (object ids) and coordinates."""
+        return (
+            self.level, self.eoff, self.echild, self.eref[self.echild < 0],
+            self.exlo, self.eylo, self.exhi, self.eyhi,
+        )
 
     @classmethod
     def build(
@@ -222,6 +241,31 @@ class ColumnTree:
             echild=np.array(echild, dtype=np.int64),
             nxlo=nxlo, nylo=nylo, nxhi=nxhi, nyhi=nyhi, stamp=stamp,
         )
+
+
+def shift_pages(ct: ColumnTree, start: int, delta: int,
+                stamp: Any) -> ColumnTree:
+    """``ct`` with every page id at or above ``start`` moved ``delta`` on.
+
+    Page ids appear in the ``page`` column and as internal entries'
+    refs; leaf refs are object ids and never move. This is the snapshot
+    of a tree rebuilt identically on fresh pages (construction replay:
+    the allocator is monotone, so every created page lands exactly
+    ``delta`` ids later), without reading a node. Node order, CSR
+    layout and child wiring are page-independent, so every other column
+    and the memoised digest are shared with ``ct``.
+    """
+    page = np.where(ct.page >= start, ct.page + delta, ct.page)
+    eref = np.where((ct.echild >= 0) & (ct.eref >= start),
+                    ct.eref + delta, ct.eref)
+    shifted = ColumnTree(
+        page=page, level=ct.level, is_leaf=ct.is_leaf, nent=ct.nent,
+        eoff=ct.eoff, exlo=ct.exlo, eylo=ct.eylo, exhi=ct.exhi,
+        eyhi=ct.eyhi, eref=eref, echild=ct.echild, nxlo=ct.nxlo,
+        nylo=ct.nylo, nxhi=ct.nxhi, nyhi=ct.nyhi, stamp=stamp,
+    )
+    shifted._digest = ct._digest
+    return shifted
 
 
 # --------------------------------------------------------------------- #

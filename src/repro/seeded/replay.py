@@ -26,7 +26,14 @@ so every page the recorded build created lands exactly ``delta`` ids
 later on replay (``replay_ops`` asserts this invariant at every
 creation). The finished tree is materialised from final-state node
 images with their internal refs shifted by the same ``delta``; leaf
-refs are object ids and never shift.
+refs are object ids and never shift. The recording also keeps the
+recorded tree's columnar snapshot, and the replayed tree is handed that
+snapshot moved by ``delta`` (:func:`~repro.kernels.node_store.shift_pages`),
+so its batch match does not re-pack it.
+
+Recordings live in the seeding tree's
+:class:`~repro.join.warm_cache.WarmCache` under the replay key, next to
+the batch plans, and go with it when that tree's version stamp moves.
 
 Eligibility is conservative: the cache only engages when the join runs
 the fast path (not under ``REPRO_KERNELS=0``) and when the run is plain —
@@ -38,6 +45,9 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from ..join.batch import carry_column_tree, column_tree_of
+from ..join.warm_cache import warm_cache_of
+from ..kernels.node_store import shift_pages
 from ..rtree.node import Entry, Node
 from ..storage.datafile import DataFile
 from .tree import SeededTree, TreePhase, _Slot
@@ -46,12 +56,13 @@ __all__ = ["BuildRecording", "cached_construct"]
 
 
 class BuildRecording:
-    """One build's effect log plus the final tree image."""
+    """One build's effect log, the final tree image and its snapshot."""
 
     __slots__ = (
         "key", "data_s", "split", "buffer", "ops", "alloc_start",
         "alloc_count", "created", "root_id", "count", "filtered",
         "slots", "list_batches", "list_pages_flushed", "tree_kwargs",
+        "snapshot",
     )
 
 
@@ -83,30 +94,33 @@ def cached_construct(
     """Build the seeded tree, replaying a prior identical build if any.
 
     ``build`` is the scalar construct body; it must leave the finished
-    tree in ``ctx.state["index"]``. The recording is cached on
-    ``ctx.tree_r`` (the persistent side of the join) and keyed on the
-    seeding tree's version stamp, the data file's identity and shape,
-    and every policy knob — any change falls back to a fresh scalar
-    build, which is then recorded in its place.
+    tree in ``ctx.state["index"]``. The recording is kept in the warm
+    cache of ``ctx.tree_r`` (the persistent side of the join), keyed on
+    the seeding tree's version stamp, the data file's identity and
+    shape, and every policy knob; a hit also checks that the recording
+    was made over this very data file, split function and buffer. Any
+    difference falls back to a fresh scalar build, which is then
+    recorded in its place.
     """
     if not _eligible(ctx):
         build(ctx)
         return
-    tree_r = ctx.tree_r
+    cache = warm_cache_of(ctx.tree_r)
     key = _key_of(ctx)
-    rec = getattr(tree_r, "_construct_recording", None)
+    rec = cache.lookup("construct", key)
     if (
         rec is not None
-        and rec.key == key
         and rec.data_s is ctx.data_s
         and rec.split is ctx.options["tree_kwargs"]["split"]
         and rec.buffer is ctx.buffer
     ):
+        cache.note("construct", "hits")
         ctx.state["index"] = _replay(rec, ctx)
         return
+    cache.note("construct", "misses")
     rec = _record(ctx, build, key)
     if rec is not None:
-        tree_r._construct_recording = rec
+        cache.store("construct", key, rec)
 
 
 def _record(ctx: Any, build: Callable[[Any], None], key: tuple):
@@ -170,6 +184,9 @@ def _record(ctx: Any, build: Callable[[Any], None], key: tuple):
         for s in tree_s._slots
     )
     rec.tree_kwargs = dict(ctx.options["tree_kwargs"])
+    # The match phase packs this same snapshot next (the tree is
+    # finished and the fast path is on), so taking it here costs nothing.
+    rec.snapshot = column_tree_of(tree_s)
     return rec
 
 
@@ -230,4 +247,9 @@ def _replay(rec: BuildRecording, ctx: Any) -> SeededTree:
         )
         for index, root, count, root_level, true_mbr in rec.slots
     ]
+    snapshot = rec.snapshot
+    if snapshot is not None:
+        snapshot = shift_pages(snapshot, start, delta,
+                               (tree.mutations, tree.root_id))
+    carry_column_tree(tree, snapshot)
     return tree

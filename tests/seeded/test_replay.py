@@ -9,12 +9,16 @@ fails loudly instead of degrading.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.seeded.replay as replay_mod
 from repro.config import SystemConfig
 from repro.geometry import Rect
 from repro.join import spatial_join
+from repro.join.batch import column_tree_of
+from repro.join.warm_cache import warm_cache_of
+from repro.kernels.node_store import ColumnTree
 from repro.rtree.node import Node
 from repro.storage import PageKind
 from repro.workload import ClusteredConfig, generate_clustered
@@ -76,16 +80,25 @@ def _join(ws, tree_r, file_s):
     )
 
 
+def _recording(tree_r):
+    """The one construction recording in ``tree_r``'s warm cache."""
+    (rec,) = warm_cache_of(tree_r).entries("construct")
+    return rec
+
+
 def test_first_run_records_then_replays(env, spies):
     ws, tree_r, file_s = env
     first = _join(ws, tree_r, file_s)
     assert spies == {"record": 1, "replay": 0}
-    rec = tree_r._construct_recording
+    rec = _recording(tree_r)
     assert rec is not None
 
     second = _join(ws, tree_r, file_s)
     assert spies == {"record": 1, "replay": 1}
-    assert tree_r._construct_recording is rec, "hit must not re-record"
+    assert _recording(tree_r) is rec, "hit must not re-record"
+    assert warm_cache_of(tree_r).stats("construct") == {
+        "hits": 1, "rebinds": 0, "misses": 1, "evictions": 0,
+    }
     assert second.pairs == first.pairs
     # The replayed tree is a fresh finished instance, not the recording's.
     assert second.index is not first.index
@@ -101,7 +114,9 @@ def test_batch_kill_switch_stands_down(env, spies, monkeypatch):
     _join(ws, tree_r, file_s)
     _join(ws, tree_r, file_s)
     assert spies == {"record": 0, "replay": 0}
-    assert getattr(tree_r, "_construct_recording", None) is None
+    cache = warm_cache_of(tree_r)
+    assert cache.entries("construct") == []
+    assert not any(cache.stats("construct").values())
 
 
 def test_sanitizer_stands_down(env, spies, monkeypatch):
@@ -115,17 +130,82 @@ def test_sanitizer_stands_down(env, spies, monkeypatch):
 def test_seeding_tree_mutation_invalidates(env, spies):
     ws, tree_r, file_s = env
     first = _join(ws, tree_r, file_s)
-    rec = tree_r._construct_recording
+    rec = _recording(tree_r)
 
     tree_r.insert(Rect(0.4, 0.4, 0.46, 0.46), 424242)
     second = _join(ws, tree_r, file_s)
-    # The stale recording was replaced by a fresh one, never replayed.
+    # The stale recording was dropped with the cache's old stamp and
+    # replaced by a fresh one, never replayed.
     assert spies == {"record": 2, "replay": 0}
-    assert tree_r._construct_recording is not rec
+    assert _recording(tree_r) is not rec
+    assert warm_cache_of(tree_r).stats("construct")["misses"] == 2
     third = _join(ws, tree_r, file_s)
     assert spies == {"record": 2, "replay": 1}
     assert third.pairs == second.pairs
     assert first.pairs  # the pre-mutation run was non-vacuous
+
+
+#: Every column of a ColumnTree, in layout order.
+COLUMNS = (
+    "page", "level", "is_leaf", "nent", "eoff",
+    "exlo", "eylo", "exhi", "eyhi", "eref", "echild",
+    "nxlo", "nylo", "nxhi", "nyhi",
+)
+
+
+def _packed(tree) -> ColumnTree:
+    """The snapshot packed from the live nodes, at the tree's stamp."""
+    records = [
+        (node.page_id, node.level, [e.ref for e in node.entries],
+         [e.mbr.xlo for e in node.entries], [e.mbr.ylo for e in node.entries],
+         [e.mbr.xhi for e in node.entries], [e.mbr.yhi for e in node.entries])
+        for node in tree.iter_nodes()
+    ]
+    return ColumnTree.build(records, tree.root_id,
+                            stamp=(tree.mutations, tree.root_id))
+
+
+def _assert_same_snapshot(got: ColumnTree, want: ColumnTree) -> None:
+    assert (got.n_nodes, got.n_entries) == (want.n_nodes, want.n_entries)
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.stamp == want.stamp
+    assert got.digest() == want.digest()
+
+
+def test_replayed_tree_carries_an_exact_snapshot(env, spies, monkeypatch):
+    """A replayed tree is handed the recorded build's snapshot moved to
+    the replay's pages instead of re-packing its nodes: column for
+    column, stamp and digest, it is what packing the replayed tree
+    gives. Once the tree changes, the next snapshot is packed afresh."""
+    ws, tree_r, file_s = env
+    first = _join(ws, tree_r, file_s)
+    packs = []
+    build = ColumnTree.build.__func__
+
+    def counted(cls, *args, **kwargs):
+        packs.append(args[1])
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ColumnTree, "build", classmethod(counted))
+    second = _join(ws, tree_r, file_s)
+    assert spies == {"record": 1, "replay": 1}
+    assert packs == [], "the replayed join packed a snapshot"
+
+    tree_s = second.index
+    carried = column_tree_of(tree_s)
+    assert carried is not column_tree_of(first.index)
+    assert packs == []
+    _assert_same_snapshot(carried, _packed(tree_s))
+    assert not np.array_equal(carried.page, column_tree_of(first.index).page)
+
+    tree_s.insert_retained(Rect(0.4, 0.4, 0.46, 0.46), 424242)
+    packs.clear()
+    fresh = column_tree_of(tree_s)
+    assert packs == [tree_s.root_id]
+    assert fresh is not carried
+    _assert_same_snapshot(fresh, _packed(tree_s))
 
 
 def test_replay_costs_match_a_scalar_rerun(monkeypatch, spies):

@@ -28,12 +28,15 @@ import pytest
 
 import repro.join.batch as join_batch
 import repro.kernels.batch as kernel_batch
+import repro.kernels.node_store as node_store
+import repro.seeded.replay as replay_mod
 import repro.zorder.curve as zcurve
 from repro.analysis.sanitizer import sanitizer_enabled
 from repro.config import SystemConfig
 from repro.geometry import Rect
 from repro.join import spatial_join
 from repro.join.engine import ExecutionMode
+from repro.join.warm_cache import KINDS, warm_cache_of
 from repro.kernels import kernels_enabled
 from repro.kernels.node_store import ColumnTree
 from repro.parallel import PublishedDataset, TileJob, TileRunner
@@ -299,6 +302,121 @@ def test_batch_repeat_runs_bit_identical(method, monkeypatch, count_calls):
     assert fast_runs[0][0], "workload produced no pairs"
     for i, (fast, scalar) in enumerate(zip(fast_runs, scalar_runs)):
         _assert_legs_agree(fast, scalar, f"run {i}: ")
+
+
+#: A resident rotation: two STJ variants (two recordings, two match
+#: plans), RTJ (a match plan against a per-join R-tree) and BFJ (a
+#: window plan) -- six warm-cache entries on T_R.
+ROTATION = ("STJ1-2N", "RTJ", "BFJ", "STJ2-3F")
+
+#: What a fast-leg round may call, counted per round.
+WARM_WORK = (node_store.build_match_plans, node_store.build_window_plans,
+             replay_mod._record, replay_mod._replay)
+
+
+def test_resident_rotation_hits_every_cache(monkeypatch, count_calls):
+    """Rounds of the rotation in ONE workspace stay bit-identical to the
+    scalar path round by round, and no method evicts another's warm
+    state: from the second round on no plan is built and every STJ
+    construct replays. A T_R insert drops it all: the next round
+    rebuilds, and the round after hits again."""
+    d_r, d_s = _kernel_workload(0)
+    calls = count_calls(*WARM_WORK)
+    work: dict[str, list] = {}
+
+    def run(start):
+        ws = Workspace(CFG)
+        tree_r = ws.install_rtree(d_r)
+        file_s = ws.install_datafile(d_s)
+        start()
+        rounds, work[os.environ["REPRO_KERNELS"]] = [], []
+        for round_no in range(6):
+            if round_no == 4:
+                tree_r.insert(Rect(0.4, 0.4, 0.46, 0.46), 10**5)
+            before = {fn.__name__: calls[fn.__name__] for fn in WARM_WORK}
+            for method in ROTATION:
+                ws.start_measurement()
+                result = spatial_join(
+                    file_s, tree_r, ws.buffer, ws.config, ws.metrics,
+                    method=method,
+                )
+                rounds.append((
+                    result.pairs, ws.metrics.summary(),
+                    ws.buffer.stats.hits, ws.buffer.stats.misses,
+                ))
+            work[os.environ["REPRO_KERNELS"]].append(tuple(
+                calls[fn.__name__] - before[fn.__name__] for fn in WARM_WORK
+            ))
+        cache = warm_cache_of(tree_r)
+        work[os.environ["REPRO_KERNELS"]].append(
+            (len(cache), {kind: cache.stats(kind) for kind in KINDS}))
+        return rounds
+
+    fast_runs, scalar_runs = _fast_and_scalar(
+        "STJ", run, monkeypatch, count_calls,
+    )
+    assert fast_runs[0][0], "workload produced no pairs"
+    for i, (fast, scalar) in enumerate(zip(fast_runs, scalar_runs)):
+        method = ROTATION[i % len(ROTATION)]
+        _assert_legs_agree(fast, scalar, f"round {i // 4} {method}: ")
+
+    # (match plans built, window plans built, recordings, replays). The
+    # sanitizer stands construction replay down, never the plan cache.
+    replay = int(not sanitizer_enabled())
+    cold, warm = (3, 1, 2 * replay, 0), (0, 0, 0, 2 * replay)
+    assert work["1"][:6] == [cold, warm, warm, warm, cold, warm]
+    assert work["1"][6] == (4 + 2 * replay, {
+        "match": {"hits": 0, "rebinds": 12, "misses": 6, "evictions": 0},
+        "window": {"hits": 4, "rebinds": 0, "misses": 2, "evictions": 0},
+        "construct": {"hits": 8 * replay, "rebinds": 0,
+                      "misses": 4 * replay, "evictions": 0},
+    })
+    # The scalar reference never reads or fills the cache.
+    assert work["0"][:6] == [(0, 0, 0, 0)] * 6
+    assert work["0"][6] == (0, {
+        kind: {"hits": 0, "rebinds": 0, "misses": 0, "evictions": 0}
+        for kind in KINDS
+    })
+
+
+@pytest.mark.parametrize("method", ("BFJ", "RTJ", "STJ"))
+def test_plan_reuse_survives_key_collisions(method, monkeypatch,
+                                           count_calls):
+    """Plan keys are checksums and may collide. With every snapshot
+    digest and every query-batch CRC forced equal, joining two different
+    D_S sets against one T_R must still match the scalar path exactly:
+    a stored plan is reused only when its inputs are bit-for-bit this
+    join's."""
+    d_r, d_s = _kernel_workload(0)
+    _, d_s2 = _kernel_workload(1)
+    assert len(d_s2) == len(d_s) and d_s2 != d_s
+    monkeypatch.setattr(ColumnTree, "digest", lambda self: ("collide",))
+    monkeypatch.setattr(join_batch, "zlib",
+                        type("Crc", (), {"crc32": staticmethod(lambda b: 0)}))
+
+    def run(start):
+        ws = Workspace(CFG)
+        tree_r = ws.install_rtree(d_r)
+        files = [ws.install_datafile(d_s), ws.install_datafile(d_s2)]
+        start()
+        out = []
+        for file_s in files + files:
+            ws.start_measurement()
+            result = spatial_join(
+                file_s, tree_r, ws.buffer, ws.config, ws.metrics,
+                method=method,
+            )
+            out.append((result.pairs, ws.metrics.summary(),
+                        ws.buffer.stats.hits, ws.buffer.stats.misses))
+        return out
+
+    fast_runs, scalar_runs = _fast_and_scalar(
+        method, run, monkeypatch, count_calls,
+    )
+    assert scalar_runs[0][0] and scalar_runs[1][0], "a join had no pairs"
+    assert scalar_runs[0][0] != scalar_runs[1][0], "the D_S sets agree"
+    for i, (fast, scalar) in enumerate(zip(fast_runs, scalar_runs)):
+        _assert_legs_agree(fast, scalar, f"join {i}: ")
 
 
 @pytest.mark.parametrize("method", ("STJ", "BFJ"))
