@@ -16,6 +16,10 @@ Candidates are then filtered with an exact bounding-box test (element
 covers are conservative) and deduplicated (one object pair can meet
 through several element pairs).
 
+:func:`stack_merge` is that algorithm, the scalar reference;
+:func:`batch_merge` gets the same pairs and charges from the files'
+columns at once.
+
 As a pipeline: ``construct`` builds the derived side's z-file (one data
 scan plus one sequential write), ``match`` is one sequential sweep of
 each z-file; the indexed side's z-file pre-exists like ``T_R``. The
@@ -26,17 +30,39 @@ the files ([Ore89]); the trade-off is benchmarked in
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..config import SystemConfig
+from ..kernels import kernels_enabled
 from ..metrics import MetricsCollector, Phase
 from ..metrics.tracing import JoinTrace
 from ..storage import DataFile
 from ..storage.disk import DiskSimulator
-from ..zorder.zfile import ZEntry, ZFile
+from ..zorder.zfile import ZEntry, ZFile, ZRun
 from .engine import ExecutionContext, JoinPhase, JoinPipeline
 from .result import JoinResult
 
 
 def merge_z_streams(
+    zfile_s: ZFile,
+    zfile_r: ZFile,
+    metrics: MetricsCollector,
+    fast: bool | None = None,
+) -> list[tuple[int, int]]:
+    """Merge two z-files into their sorted, deduplicated object pairs.
+
+    ``fast`` runs :func:`batch_merge`, ``False`` the scalar reference
+    :func:`stack_merge`; both read the same pages and charge the same
+    tests. ``None`` reads ``REPRO_KERNELS`` once.
+    """
+    if fast is None:
+        fast = kernels_enabled()
+    if fast:
+        return batch_merge(zfile_s, zfile_r, metrics)
+    return stack_merge(zfile_s, zfile_r, metrics)
+
+
+def stack_merge(
     zfile_s: ZFile, zfile_r: ZFile, metrics: MetricsCollector
 ) -> list[tuple[int, int]]:
     """Stack-based merge of two z-files into deduplicated object pairs."""
@@ -94,6 +120,71 @@ def merge_z_streams(
     return sorted(pairs)
 
 
+def batch_merge(
+    zfile_s: ZFile, zfile_r: ZFile, metrics: MetricsCollector
+) -> list[tuple[int, int]]:
+    """:func:`stack_merge`'s pairs and charges, from the files' columns.
+
+    It reads the two files as the stack merge does (one sweep each, S
+    first). A stack hit is an element meeting an element of the other
+    file that is still on its stack, and that element contains it, so
+    every hit is a cross pair of nested cells. Conversely every nested
+    cross pair is hit exactly once: the container comes first in merge
+    order (an equal S cell comes first too: ties go to S) and is never
+    popped before the contained cell arrives. So the merge charges one
+    ``xy_tests`` and one ``bbox_tests`` per nested cross pair, and its
+    pairs are those nested pairs whose rectangles meet (closed test),
+    deduplicated and sorted; this function counts and tests the pairs
+    directly.
+    """
+    s = zfile_s.read_columns()
+    r = zfile_r.read_columns()
+    key_s = _merge_key(s)
+    key_r = _merge_key(r)
+    # Each file's merge keys are sorted, so the cells nested in a cell
+    # are one slice of the other file: those at or past its own key,
+    # up to its last z-value. R cells inside (or equal to) an S cell,
+    # then S cells strictly inside an R cell, so that no pair is
+    # counted twice.
+    s_outer, r_inner = _expand(
+        np.searchsorted(key_r, key_s, "left"),
+        np.searchsorted(r.zlo, s.zhi, "right"),
+    )
+    r_outer, s_inner = _expand(
+        np.searchsorted(key_s, key_r, "right"),
+        np.searchsorted(s.zlo, r.zhi, "right"),
+    )
+    si = np.concatenate((s_outer, s_inner))
+    ri = np.concatenate((r_inner, r_outer))
+    cpu = metrics.cpu
+    cpu.xy_tests += si.size      # interval containment checks
+    cpu.bbox_tests += si.size    # exact bbox tests
+    # Rect.intersects over every candidate pair.
+    hit = ((s.xlo[si] <= r.xhi[ri]) & (r.xlo[ri] <= s.xhi[si])
+           & (s.ylo[si] <= r.yhi[ri]) & (r.ylo[ri] <= s.yhi[si]))
+    return sorted(set(zip(
+        map(s.oids.__getitem__, si[hit].tolist()),
+        map(r.oids.__getitem__, ri[hit].tolist()),
+    )))
+
+
+def _merge_key(run: ZRun) -> np.ndarray:
+    """The merge order ``(zlo, -zhi)`` as one uint64 per row (z-values
+    have 32 bits)."""
+    zlo = run.zlo.astype(np.uint64)
+    zhi = run.zhi.astype(np.uint64)
+    return (zlo << np.uint64(32)) | (np.uint64(0xFFFFFFFF) - zhi)
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` for every ``i`` and every ``lo[i] <= j < hi[i]``."""
+    counts = hi - lo
+    i = np.repeat(np.arange(lo.size), counts)
+    starts = np.cumsum(counts) - counts
+    j = np.arange(i.size) + np.repeat(lo - starts, counts)
+    return i, j
+
+
 def _construct(ctx: ExecutionContext) -> None:
     zfile_r: ZFile = ctx.options["zfile_r"]
     disk: DiskSimulator = zfile_r.disk
@@ -106,7 +197,8 @@ def _construct(ctx: ExecutionContext) -> None:
 
 def _match(ctx: ExecutionContext) -> None:
     ctx.state["pairs"] = merge_z_streams(
-        ctx.state["index"], ctx.options["zfile_r"], ctx.metrics
+        ctx.state["index"], ctx.options["zfile_r"], ctx.metrics,
+        fast=ctx.mode.fast,
     )
 
 

@@ -108,12 +108,17 @@ def mbr_of(arr: RectArray) -> Rect:
 # Guttman least-enlargement scan
 # --------------------------------------------------------------------- #
 
-def least_enlargement_index(arr: RectArray, rect: Rect) -> int:
+def least_enlargement_index(arr: RectArray, rect: Rect) -> int | None:
     """Index of the rectangle needing least enlargement to cover ``rect``.
 
     Reproduces the scalar ``choose_subtree`` loop exactly: the winner is
     the first index attaining the minimal enlargement and, among those,
     the minimal current area (first occurrence again on area ties).
+
+    Returns ``None`` — caller falls back to its scalar loop — when an
+    enlargement is NaN (coordinate overflow): the scalar loops skip or
+    keep a NaN row depending on how they start, which no minimum over
+    the column reproduces.
     """
     if arr.n == 0:
         raise GeometryError("least_enlargement_index() of an empty RectArray")
@@ -126,7 +131,10 @@ def least_enlargement_index(arr: RectArray, rect: Rect) -> int:
         uxhi = np.maximum(arr.xhi, rect.xhi)
         uyhi = np.maximum(arr.yhi, rect.yhi)
         enl = (uxhi - uxlo) * (uyhi - uylo) - area
-        cand = np.nonzero(enl == enl.min())[0]
+        least = enl.min()
+        if least != least:      # min() propagates NaN
+            return None
+        cand = np.nonzero(enl == least)[0]
         return int(cand[np.argmin(area[cand])])
     rxlo, rylo, rxhi, ryhi = rect.xlo, rect.ylo, rect.xhi, rect.yhi
     best_idx = 0
@@ -140,8 +148,13 @@ def least_enlargement_index(arr: RectArray, rect: Rect) -> int:
         enl = (uxhi - uxlo) * (uyhi - uylo) - a
         if best_enl is None or enl < best_enl:
             best_idx, best_enl, best_area = i, enl, a
-        elif enl == best_enl and a < best_area:
-            best_idx, best_area = i, a
+        elif enl == best_enl:
+            if a < best_area:
+                best_idx, best_area = i, a
+        elif enl != enl:
+            return None
+    if best_enl != best_enl:    # the first row was NaN
+        return None
     return best_idx
 
 

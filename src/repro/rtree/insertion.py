@@ -36,14 +36,16 @@ def choose_subtree(owner: Any, node: Node, rect: Rect) -> int:
     order of magnitude more — which per-entry charging here would bury
     under descent-scan noise.
     """
+    best_idx = None
     if node.entries and owner.fast:
         # Same winner as the scalar loop: first index attaining minimal
         # enlargement, area as the tie-break (first occurrence again).
         # Building columns eagerly amortises because the non-split
         # adjust below patches the one grown row instead of dropping
-        # the cache — only a split still invalidates this node.
+        # the cache — only a split still invalidates this node. A NaN
+        # enlargement (None) leaves the choice to the scalar loop.
         best_idx = least_enlargement_index(node.rect_array(), rect)
-    else:
+    if best_idx is None:
         best_idx = 0
         best_enl = float("inf")
         best_area = float("inf")

@@ -153,7 +153,7 @@ class LinkedListManager:
             slot.pages = []
         rec = self.disk._recorder
         if rec is not None:
-            rec.append((8, first_id, tuple(pages)))
+            rec.extend((8, first_id, rec.ref(pages)))
         self.disk.write_run(pages)
         self.batches.append(Batch(first_id, total, tuple(segments)))
         self.resident_pages -= total
@@ -223,7 +223,7 @@ class LinkedListManager:
         # transient faults (identical charge when fault-free).
         for batch in self.batches:
             if rec is not None:
-                rec.append((9, batch.first_page_id, batch.num_pages))
+                rec.extend((9, batch.first_page_id, batch.num_pages))
             pages = [
                 retry_read(
                     # Section 3.1 replays flushed list runs sequentially;
@@ -278,8 +278,8 @@ class LinkedListManager:
                 for i in range(num_pages)
             ]
             if rec is not None:
-                rec.append((8, first_id, tuple(pages)))
-                rec.append((9, first_id, num_pages))
+                rec.extend((8, first_id, rec.ref(pages)))
+                rec.extend((9, first_id, num_pages))
             self.disk.write_run(pages)
             for page_id in range(first_id, first_id + num_pages):
                 retry_read(

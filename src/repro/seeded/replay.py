@@ -13,8 +13,12 @@ global order, via the ``_recorder`` hooks on :class:`BufferPool`,
 :class:`DiskSimulator` and :class:`MetricsCollector`: buffer fetches
 (with pin discipline), page creations, dirty marks, unpins, drops,
 bbox-test charges, the data-file scan, and the linked-list batch I/O
-that bypasses the buffer by design. Replay re-issues exactly that
-sequence against the live pool (:meth:`BufferPool.replay_ops`), so
+that bypasses the buffer by design. The hooks append to one
+:class:`EffectLog`, a flat list of integers (three per op), so
+recording allocates no object per op for the garbage collector to
+track. Replay
+re-issues exactly that sequence against the live pool
+(:meth:`BufferPool.replay_ops`), so
 hits, misses, evictions, write-backs and the disk's sequential/random
 classification all come out of the *current* state — precisely what a
 scalar re-build would observe — while the per-object Python work is
@@ -52,7 +56,50 @@ from ..rtree.node import Entry, Node
 from ..storage.datafile import DataFile
 from .tree import SeededTree, TreePhase, _Slot
 
-__all__ = ["BuildRecording", "cached_construct"]
+__all__ = ["BuildRecording", "EffectLog", "cached_construct"]
+
+
+class EffectLog(list):
+    """A construction effect log: three integers ``code, a, b`` per
+    accounted op, in global order, in one flat list.
+
+    The vocabulary, with ``pid`` a page id:
+
+    * ``(0, pid, 0)`` unpinned fetch, ``(1, pid, 0)`` pinned fetch;
+    * ``(2, pid, k)`` page creation, of page kind ``side[k]``;
+    * ``(3, pid, 0)`` mark dirty, ``(4, pid, 0)`` unpin;
+    * ``(5, pid, w)`` drop, writing back iff ``w``;
+    * ``(6, n, 0)`` a charge of ``n`` bbox tests;
+    * ``(7, 0, 0)`` a scan of the data file;
+    * ``(8, pid, k)`` a direct run write of the pages ``side[k]``
+      starting at ``pid``, ``(9, pid, n)`` a direct run read of ``n``.
+
+    An operand that is not an integer goes to the ``side`` table and
+    the op holds its index; ``created`` lists the created page ids in
+    order. The garbage collector's cost is tracked objects times full
+    collections; ints are not tracked, so the log is one tracked object
+    where a list of op tuples kept one alive per op. (A plain list, not
+    an ``array``: ``list.extend`` of a 3-tuple costs about a fifth of
+    ``array.extend``'s generic path.) :meth:`BufferPool.replay_ops` is
+    its only decoder.
+    """
+
+    __slots__ = ("side", "created")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.side: list = []
+        self.created: list[int] = []
+
+    def ref(self, obj: Any) -> int:
+        """Keep ``obj`` in the side table; return its index."""
+        self.side.append(obj)
+        return len(self.side) - 1
+
+    def create(self, page_id: int, kind: Any) -> None:
+        """Log the creation of page ``page_id``, of page kind ``kind``."""
+        self.extend((2, page_id, self.ref(kind)))
+        self.created.append(page_id)
 
 
 class BuildRecording:
@@ -128,7 +175,7 @@ def _record(ctx: Any, build: Callable[[Any], None], key: tuple):
     buffer = ctx.buffer
     disk = buffer.disk
     metrics = ctx.metrics
-    ops: list = []
+    ops = EffectLog()
     alloc_start = disk._next_id
     buffer._recorder = ops
     disk._recorder = ops
@@ -144,26 +191,24 @@ def _record(ctx: Any, build: Callable[[Any], None], key: tuple):
         return None
 
     # Final-state images of every page the build created, in creation
-    # order. A created page may have been pruned (dropped, never
-    # written): its image is None and replay admits an empty shell —
-    # nothing ever reads a dead page, only its eviction write (if any)
-    # is accounted, and that is content-independent.
+    # order, as columns: (page id, level, mbrs, refs, shadows, touched).
+    # A created page may have been pruned (dropped, never written): it
+    # has no image (level 0, no entries) and replay admits an empty
+    # shell — nothing ever reads a dead page, only its eviction write
+    # (if any) is accounted, and that is content-independent.
     created = []
-    for op in ops:
-        if op[0] == 2:
-            old_id = op[1]
-            page = buffer.peek(old_id) or disk.peek(old_id)
-            if page is None:
-                created.append((old_id, op[2], 0, None))
-            else:
-                node = page.payload
-                created.append((
-                    old_id, op[2], node.level,
-                    tuple(
-                        (e.mbr, e.ref, e.shadow, e.touched)
-                        for e in node.entries
-                    ),
-                ))
+    for old_id in ops.created:
+        page = buffer.peek(old_id) or disk.peek(old_id)
+        if page is None:
+            created.append((old_id, 0, (), (), (), ()))
+        else:
+            node = page.payload
+            es = node.entries
+            created.append((
+                old_id, node.level, tuple(e.mbr for e in es),
+                tuple(e.ref for e in es), tuple(e.shadow for e in es),
+                tuple(e.touched for e in es),
+            ))
 
     rec = BuildRecording()
     rec.key = key
@@ -202,24 +247,15 @@ def _replay(rec: BuildRecording, ctx: Any) -> SeededTree:
     # box update replaces the reference), so materialisation is one
     # Entry per surviving row.
     payloads: list[Node] = []
-    for old_id, _kind, level, rows in rec.created:
-        if rows is None:
-            node = Node(0, [])
-        elif level > 0:
-            entries = []
-            for mbr, ref, shadow, touched in rows:
-                e = Entry(mbr, ref + delta if ref >= start else ref,
-                          shadow=shadow)
-                e.touched = touched
-                entries.append(e)
-            node = Node(level, entries)
-        else:
-            entries = []
-            for mbr, ref, shadow, touched in rows:
-                e = Entry(mbr, ref, shadow=shadow)
-                e.touched = touched
-                entries.append(e)
-            node = Node(level, entries)
+    for old_id, level, mbrs, refs, shadows, touched in rec.created:
+        if level > 0:
+            refs = [ref + delta if ref >= start else ref for ref in refs]
+        entries = []
+        for mbr, ref, shadow, t in zip(mbrs, refs, shadows, touched):
+            e = Entry(mbr, ref, shadow=shadow)
+            e.touched = t
+            entries.append(e)
+        node = Node(level, entries)
         node.page_id = old_id + delta
         payloads.append(node)
 

@@ -521,8 +521,10 @@ class SeededTree:
             if all_points(arr):
                 idx = min_center_distance_index(arr, rect)
             else:
+                # None on a NaN enlargement: the scalar loop decides.
                 idx = least_enlargement_index(arr, rect)
-            return entries[idx], idx
+            if idx is not None:
+                return entries[idx], idx
         if all(e.mbr.is_point() for e in entries):
             # First-minimum semantics, same winner as min() over the
             # entries (and as the center-distance kernel).

@@ -85,11 +85,11 @@ class BufferPool:
         self.policy = policy
         self.retry = retry or DEFAULT_RETRY_POLICY
         self.stats = BufferStats()
-        # Optional construction-effect recorder (a plain list shared with
+        # Optional construction-effect recorder (an EffectLog shared with
         # the disk and metrics hooks; see repro.seeded.replay). When set,
-        # every pool operation appends one op tuple. None costs a single
-        # attribute test on the hot paths.
-        self._recorder: list | None = None
+        # every pool operation appends one integer triple. None costs a
+        # single attribute test on the hot paths.
+        self._recorder: Any = None
         self._is_lru = policy == "lru"
         self._is_clock = policy == "clock"
         # Eviction order: least recently used first (LRU), insertion
@@ -114,7 +114,7 @@ class BufferPool:
         """Return the page, reading it from disk on a miss."""
         rec = self._recorder
         if rec is not None:
-            rec.append((1, page_id) if pin else (0, page_id))
+            rec.extend((1 if pin else 0, page_id, 0))
         frames = self._frames
         frame = frames.get(page_id)
         if frame is not None:
@@ -203,7 +203,7 @@ class BufferPool:
 
     def replay_ops(
         self,
-        ops: list,
+        ops: Any,
         start: int,
         delta: int,
         payloads: list,
@@ -212,18 +212,14 @@ class BufferPool:
     ) -> None:
         """Execute a recorded construction effect log against the pool.
 
-        ``ops`` is the op vocabulary the ``_recorder`` hooks emit —
-        ``(0, pid)`` unpinned fetch, ``(1, pid)`` pinned fetch,
-        ``(2, old_id, kind)`` page creation, ``(3, pid)`` mark dirty,
-        ``(4, pid)`` unpin, ``(5, pid, write_back)`` drop,
-        ``(6, n)`` bbox-test charge, ``(7, 0)`` data-file scan,
-        ``(8, first_old, pages)`` direct run write, ``(9, first_old, n)``
-        direct run read. Page ids at or past ``start`` were allocated by
-        the recorded build and are shifted by ``delta`` — the allocator
-        is monotone, so a faithful re-issue of the recorded allocations
-        lands every created page exactly ``delta`` past its recorded id.
-        Creations consume ``payloads`` in order (final-state node images
-        with pre-shifted ids and refs).
+        ``ops`` is the :class:`~repro.seeded.replay.EffectLog` the
+        ``_recorder`` hooks fill (its docstring lists the op codes), and
+        this is its only decoder. Page ids at or past ``start`` were
+        allocated by the recorded build and are shifted by ``delta`` —
+        the allocator is monotone, so a faithful re-issue of the
+        recorded allocations lands every created page exactly ``delta``
+        past its recorded id. Creations consume ``payloads`` in order
+        (final-state node images with pre-shifted ids and refs).
 
         The replay makes the same pool calls in the same order as the
         recorded build would if re-run now: hits, misses, evictions,
@@ -243,62 +239,58 @@ class BufferPool:
         is_lru = self._is_lru
         fetch = self.fetch
         disk = self.disk
+        side = ops.side
         hits = 0
         payload_i = 0
+        it = iter(ops)
         try:
-            for op in ops:
-                code = op[0]
+            for code, a, b in zip(it, it, it):
                 if code == 0:
-                    pid = op[1]
-                    if pid >= start:
-                        pid += delta
-                    frame = get(pid)
+                    if a >= start:
+                        a += delta
+                    frame = get(a)
                     if frame is not None and is_lru:
                         hits += 1
-                        move(pid)
+                        move(a)
                     else:
-                        fetch(pid)
+                        fetch(a)
                 elif code == 6:
-                    metrics.count_bbox_tests(op[1])
+                    metrics.count_bbox_tests(a)
                 elif code == 3:
-                    pid = op[1]
-                    self.mark_dirty(pid + delta if pid >= start else pid)
+                    self.mark_dirty(a + delta if a >= start else a)
                 elif code == 1:
-                    pid = op[1]
                     # Pin lifetime mirrors the recorded build's own
                     # pin/unpin ops; eligibility gates on a fault-free
                     # disk, so nothing here can raise mid-sequence.
                     # repro-lint: disable=RPR003 -- replayed pin, release op follows in the log
-                    fetch(pid + delta if pid >= start else pid, pin=True)
+                    fetch(a + delta if a >= start else a, pin=True)
                 elif code == 4:
-                    pid = op[1]
-                    self.unpin(pid + delta if pid >= start else pid)
+                    self.unpin(a + delta if a >= start else a)
                 elif code == 2:
                     payload = payloads[payload_i]
                     payload_i += 1
-                    page = self.new_page(op[2], payload)
-                    if page.page_id != op[1] + delta:
+                    page = self.new_page(side[b], payload)
+                    if page.page_id != a + delta:
                         # Not a StorageError: the engine's degradation
                         # path would silently downgrade the join and
                         # mask a broken replay invariant.
                         raise RuntimeError(
                             "construction replay allocation drifted: "
-                            f"page {page.page_id} != {op[1] + delta}"
+                            f"page {page.page_id} != {a + delta}"
                         )
                 elif code == 5:
-                    pid = op[1]
-                    self.drop(pid + delta if pid >= start else pid,
-                              write_back=op[2])
+                    self.drop(a + delta if a >= start else a,
+                              write_back=bool(b))
                 elif code == 7:
                     for _ in data_file.scan_pages():
                         pass
                 elif code == 8:
-                    pages = op[2]
+                    pages = side[b]
                     first = disk.allocate(len(pages))
-                    if first != op[1] + delta:
+                    if first != a + delta:
                         raise RuntimeError(
                             "construction replay allocation drifted: "
-                            f"run {first} != {op[1] + delta}"
+                            f"run {first} != {a + delta}"
                         )
                     disk.write_run([
                         Page(
@@ -312,8 +304,8 @@ class BufferPool:
                         for p in pages
                     ])
                 elif code == 9:
-                    first = op[1] + delta
-                    for i in range(op[2]):
+                    first = a + delta
+                    for i in range(b):
                         # Recorded linked-list sweeps bypass the buffer
                         # by design (Section 3.1), so their replay must
                         # too.
@@ -367,7 +359,7 @@ class BufferPool:
         page_id = self.disk.allocate()
         rec = self._recorder
         if rec is not None:
-            rec.append((2, page_id, kind))
+            rec.create(page_id, kind)
         page = Page(page_id, kind, payload)
         frame = self._admit(page, dirty=True)
         if pin:
@@ -397,7 +389,7 @@ class BufferPool:
     def mark_dirty(self, page_id: int) -> None:
         rec = self._recorder
         if rec is not None:
-            rec.append((3, page_id))
+            rec.extend((3, page_id, 0))
         frame = self._frame_of(page_id)
         if frame is None:
             raise StorageError(f"page {page_id} is not resident")
@@ -416,7 +408,7 @@ class BufferPool:
     def unpin(self, page_id: int) -> None:
         rec = self._recorder
         if rec is not None:
-            rec.append((4, page_id))
+            rec.extend((4, page_id, 0))
         frame = self._frames.get(page_id)
         if frame is None:
             frame = self._parked.get(page_id)
@@ -477,7 +469,7 @@ class BufferPool:
         """
         rec = self._recorder
         if rec is not None:
-            rec.append((5, page_id, write_back))
+            rec.extend((5, page_id, 1 if write_back else 0))
         store = self._frames
         frame = store.get(page_id)
         if frame is None:

@@ -110,7 +110,7 @@ class DataFile:
         """
         rec = self.disk._recorder
         if rec is not None:
-            rec.append((7, 0))
+            rec.extend((7, 0, 0))
         return [
             retry_read(
                 lambda pid=page_id: self.disk.read(pid), self.disk.metrics,

@@ -214,13 +214,16 @@ class ZCover(NamedTuple):
     ``owner[i]``. Rows are grouped by owner in input order and sorted by
     ``zlo`` within one owner, so each rectangle's rows are the list
     :func:`decompose` returns for it. A rectangle that misses the map
-    owns no rows; ``size`` is the number of input rectangles.
+    owns no rows; ``size`` is the number of input rectangles, and row
+    ``k`` of the ``(size, 4)`` float64 ``corners`` is input rectangle
+    ``k``'s ``(xlo, ylo, xhi, yhi)``.
     """
 
     owner: np.ndarray
     zlo: np.ndarray
     zhi: np.ndarray
     size: int
+    corners: np.ndarray
 
     def lists(self) -> list[list[ZElement]]:
         """One element list per input rectangle, as :func:`decompose`."""
@@ -298,9 +301,9 @@ def decompose_batch(
         zhis.append(zhi[order])
     if not owners:
         empty = np.empty(0, dtype=np.int64)
-        return ZCover(empty, empty, empty, n)
+        return ZCover(empty, empty, empty, n, coords)
     return ZCover(np.concatenate(owners), np.concatenate(zlos),
-                  np.concatenate(zhis), n)
+                  np.concatenate(zhis), n, coords)
 
 
 def _refine_block(

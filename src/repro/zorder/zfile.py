@@ -11,17 +11,25 @@ An entry costs 8 bytes of z-interval, a 16-byte bounding box (kept for
 the exact post-merge test) and a 4-byte oid = 28 bytes, so a 512 B page
 holds 17 entries and a 1 KiB page 35.
 
+A page holds its entries as columns (:class:`ZRun`): numpy slices of
+``zlo``, ``zhi`` and the four bounding-box coordinates, plus a list of
+the Python-int oids. A page is then a constant number of objects the
+garbage collector tracks, where a list of :class:`ZEntry` rows was two
+per element; :meth:`ZRun.entries` still gives the rows.
+
 Building a z-file has two paths, picked by ``fast``. The fast path
 decomposes every rectangle at once (:func:`~repro.zorder.curve
 .decompose_batch`) and orders the elements with one stable
 ``np.lexsort``; ``fast=False`` runs the scalar reference, one
 :func:`~repro.zorder.curve.decompose` call per rectangle and a list
-sort. Both write the same entries in the same order on the same pages.
+sort, and converts the sorted list to columns. Both write the same
+entries in the same order on the same pages.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,10 +45,6 @@ from .curve import ZElement, decompose, decompose_batch
 #: Per-entry bytes: z-interval (8) + bbox (16) + oid (4).
 ENTRY_BYTES = 28
 
-#: Sorted elements turned into ZEntry objects per ``tolist`` call on the
-#: fast path, which bounds the temporary Python lists.
-ENTRY_CHUNK = 4096
-
 
 class ZEntry(NamedTuple):
     """One element of one object, as stored in a z-file."""
@@ -50,11 +54,71 @@ class ZEntry(NamedTuple):
     oid: int
 
 
-class _ZPageRecord:
-    __slots__ = ("entries",)
+@dataclass(slots=True, eq=False)
+class ZRun:
+    """Z-file entries in z-order, as columns: one page's, or a file's.
 
-    def __init__(self, entries: list[ZEntry]):
-        self.entries = entries
+    ``zlo``/``zhi`` are int64 and ``xlo``/``ylo``/``xhi``/``yhi``
+    float64 numpy columns; ``oids`` is a list of Python ints, so an oid
+    beyond int64 keeps its value. Row ``i`` is the entry
+    ``ZEntry(ZElement(zlo[i], zhi[i]), Rect(xlo[i], ..., yhi[i]),
+    oids[i])``.
+    """
+
+    zlo: np.ndarray
+    zhi: np.ndarray
+    xlo: np.ndarray
+    ylo: np.ndarray
+    xhi: np.ndarray
+    yhi: np.ndarray
+    oids: list[int]
+
+    @classmethod
+    def of_entries(cls, entries: Sequence[ZEntry]) -> "ZRun":
+        """The columns of a list of entries, row for row."""
+        return cls(
+            np.array([e.element.zlo for e in entries], dtype=np.int64),
+            np.array([e.element.zhi for e in entries], dtype=np.int64),
+            np.array([e.mbr.xlo for e in entries], dtype=np.float64),
+            np.array([e.mbr.ylo for e in entries], dtype=np.float64),
+            np.array([e.mbr.xhi for e in entries], dtype=np.float64),
+            np.array([e.mbr.yhi for e in entries], dtype=np.float64),
+            [e.oid for e in entries],
+        )
+
+    @classmethod
+    def concat(cls, runs: Sequence["ZRun"]) -> "ZRun":
+        """The rows of ``runs``, one run after the other."""
+        if not runs:
+            return cls.of_entries([])
+        oids: list[int] = []
+        for run in runs:
+            oids.extend(run.oids)
+        return cls(
+            *(np.concatenate([getattr(run, name) for run in runs])
+              for name in ("zlo", "zhi", "xlo", "ylo", "xhi", "yhi")),
+            oids,
+        )
+
+    def __len__(self) -> int:
+        return len(self.oids)
+
+    def __getitem__(self, rows: slice) -> "ZRun":
+        return ZRun(self.zlo[rows], self.zhi[rows], self.xlo[rows],
+                    self.ylo[rows], self.xhi[rows], self.yhi[rows],
+                    self.oids[rows])
+
+    @property
+    def entries(self) -> list[ZEntry]:
+        """The rows as :class:`ZEntry` values (built on each call)."""
+        return [
+            ZEntry(ZElement(zlo, zhi), Rect(xlo, ylo, xhi, yhi), oid)
+            for zlo, zhi, xlo, ylo, xhi, yhi, oid in zip(
+                self.zlo.tolist(), self.zhi.tolist(), self.xlo.tolist(),
+                self.ylo.tolist(), self.xhi.tolist(), self.yhi.tolist(),
+                self.oids,
+            )
+        ]
 
 
 class ZFile:
@@ -103,9 +167,23 @@ class ZFile:
         if fast is None:
             fast = kernels_enabled()
         if fast:
+            # The scalar path appends each object's elements (sorted by
+            # zlo) in input order, then sorts stably by (zlo, -zhi), so
+            # ties between objects keep input order: one stable lexsort
+            # on (zlo, -zhi, input position) is the same order.
             rows = list(entries)
-            z_entries = _sorted_entries_batch(rows, max_elements)
             num_objects = len(rows)
+            cover = decompose_batch([rect for rect, _ in rows], max_elements)
+            order = np.lexsort((cover.owner, -cover.zhi, cover.zlo))
+            owner = cover.owner[order]
+            corners = cover.corners
+            oids = [oid for _, oid in rows]
+            run = ZRun(
+                cover.zlo[order], cover.zhi[order],
+                corners[:, 0][owner], corners[:, 1][owner],
+                corners[:, 2][owner], corners[:, 3][owner],
+                list(map(oids.__getitem__, owner.tolist())),
+            )
         else:
             z_entries = []
             num_objects = 0
@@ -114,24 +192,24 @@ class ZFile:
                 for element in decompose(rect, max_elements=max_elements):
                     z_entries.append(ZEntry(element, rect, oid))
             z_entries.sort(key=lambda e: (e.element.zlo, -e.element.zhi))
+            run = ZRun.of_entries(z_entries)
 
         capacity = cls.page_capacity(config)
         if capacity < 1:
             raise WorkloadError("page too small for z-file entries")
-        num_pages = (len(z_entries) + capacity - 1) // capacity
+        num_entries = len(run)
+        num_pages = (num_entries + capacity - 1) // capacity
         if num_pages == 0:
             return cls(disk, config, disk.allocate(1), 0, 0, num_objects,
                        name=name)
         first_id = disk.allocate(num_pages)
         pages = [
-            Page(
-                first_id + i, PageKind.DATA,
-                _ZPageRecord(z_entries[i * capacity:(i + 1) * capacity]),
-            )
+            Page(first_id + i, PageKind.DATA,
+                 run[i * capacity:(i + 1) * capacity])
             for i in range(num_pages)
         ]
         disk.write_run(pages)
-        return cls(disk, config, first_id, num_pages, len(z_entries),
+        return cls(disk, config, first_id, num_pages, num_entries,
                    num_objects, name=name)
 
     def scan(self) -> Iterator[ZEntry]:
@@ -140,6 +218,16 @@ class ZFile:
             return
         for page in self.disk.read_run(self.first_page_id, self.num_pages):
             yield from page.payload.entries
+
+    def read_columns(self) -> ZRun:
+        """The whole file as one run of columns (one sequential sweep,
+        charged exactly as :meth:`scan`)."""
+        if self.num_pages == 0:
+            return ZRun.of_entries([])
+        return ZRun.concat([
+            page.payload
+            for page in self.disk.read_run(self.first_page_id, self.num_pages)
+        ])
 
     @property
     def redundancy(self) -> float:
@@ -154,29 +242,3 @@ class ZFile:
             f"ZFile({label} objects={self.num_objects}, "
             f"entries={self.num_entries}, pages={self.num_pages})"
         )
-
-
-def _sorted_entries_batch(
-    rows: list[DataEntry], max_elements: int
-) -> list[ZEntry]:
-    """The scalar path's sorted entry list, from one batch decomposition.
-
-    The scalar path appends each object's elements (sorted by ``zlo``)
-    in input order and then sorts stably by ``(zlo, -zhi)``, so ties
-    between objects stay in input order: one stable ``np.lexsort`` on
-    ``(zlo, -zhi, input position)`` is the same order. Rectangles and
-    oids stay the input's Python objects; only coordinates and z-values
-    pass through numpy.
-    """
-    cover = decompose_batch([rect for rect, _ in rows], max_elements)
-    order = np.lexsort((cover.owner, -cover.zhi, cover.zlo))
-    z_entries: list[ZEntry] = []
-    add = z_entries.append
-    for start in range(0, order.size, ENTRY_CHUNK):
-        take = order[start:start + ENTRY_CHUNK]
-        for zlo, zhi, i in zip(cover.zlo[take].tolist(),
-                               cover.zhi[take].tolist(),
-                               cover.owner[take].tolist()):
-            rect, oid = rows[i]
-            add(ZEntry(ZElement(zlo, zhi), rect, oid))
-    return z_entries

@@ -11,11 +11,13 @@ rectangles common rather than rare, exactly the inputs where an
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import SystemConfig
 from repro.errors import GeometryError
 from repro.geometry import Rect, union_all
 from repro.geometry.sweep import brute_force_pairs, sweep_pairs
@@ -32,14 +34,19 @@ from repro.kernels import (
     sweep_pairs_batch,
 )
 from repro.metrics.counters import CpuCounters
-from repro.rtree.node import Entry
+from repro.rtree.insertion import choose_subtree
+from repro.rtree.node import Entry, Node
 from repro.rtree.split import check_split, quadratic_split
+from repro.seeded.tree import SeededTree
+from repro.workspace import Workspace
 
 from ..strategies import rect_lists, rects
 
 BACKENDS = ("numpy", "python")
 
 backend_param = pytest.mark.parametrize("backend", BACKENDS)
+
+SMALL = SystemConfig(page_size=512, buffer_pages=16)
 
 
 def arr_of(rs, backend):
@@ -186,6 +193,33 @@ class TestScanKernels:
         rs = [Rect(0, 0, 1, 1), Rect(2, 0, 3, 1), Rect(0, 2, 1, 3)]
         probe = Rect(0.25, 0.25, 0.75, 0.75)
         assert least_enlargement_index(arr_of(rs, backend), probe) == 0
+
+    @pytest.mark.parametrize("n", (8, NUMPY_MIN_N + 6))
+    @pytest.mark.parametrize("caller", ("choose_subtree", "seed_entry"))
+    def test_nan_enlargement_defers_to_scalar_loop(self, n, caller):
+        """Entry 0 is 2e200 wide, so covering a 1e200-wide probe grows it
+        by inf - inf = NaN. The kernel returns None on both column
+        backends, and each caller then runs its own scalar loop:
+        choose_subtree (starting from +inf) skips the NaN row and picks
+        entry 1, the seed descent (starting from entry 0) keeps entry 0."""
+        entries = [Entry(Rect(0.0, 0.0, 2e200, 2e200), 0)]
+        entries += [Entry(Rect(i, i, i + 1.0, i + 1.0), i)
+                    for i in range(1, n)]
+        probe = Rect(0.0, 0.0, 1e200, 1e200)
+        node = Node(1, entries)
+        assert node.rect_array().is_numpy == (n >= NUMPY_MIN_N)
+        assert least_enlargement_index(node.rect_array(), probe) is None
+
+        def choice(fast):
+            if caller == "choose_subtree":
+                return choose_subtree(
+                    SimpleNamespace(fast=fast, metrics=None), node, probe)
+            tree = SeededTree(Workspace(SMALL).buffer, SMALL, fast=fast)
+            return tree._choose_seed_entry(node, probe)[1]
+
+        want = 1 if caller == "choose_subtree" else 0
+        assert choice(False) == want
+        assert choice(True) == want
 
     @backend_param
     @settings(max_examples=150, deadline=None)

@@ -9,6 +9,8 @@ fails loudly instead of degrading.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,43 @@ def test_allocation_drift_raises_runtime_error():
     # Claim the recorded page 5 will land at 5 + delta, but pick a delta
     # that disagrees with where the allocator actually is.
     delta = (disk._next_id - 5) + 7
-    ops = [(2, 5, PageKind.TREE_NODE)]
+    ops = replay_mod.EffectLog()
+    ops.create(5, PageKind.TREE_NODE)
     with pytest.raises(RuntimeError, match="drifted"):
         buffer.replay_ops(ops, 0, delta, [Node(0, [])], ws.metrics, None)
+
+
+def test_recording_allocates_per_page_not_per_op(monkeypatch):
+    """Recording a build adds a few objects the garbage collector tracks
+    per page the build allocates (the pages' final images), not one per
+    logged op as a list of op tuples did: the effect log is one flat
+    integer array."""
+    monkeypatch.setenv("REPRO_KERNELS", "1")
+    d_r, d_s = _workload()
+    eligible = replay_mod._eligible
+
+    def added_by_join(record):
+        monkeypatch.setattr(replay_mod, "_eligible",
+                            eligible if record else lambda ctx: False)
+        ws = Workspace(CFG)
+        tree_r = ws.install_rtree(d_r)
+        file_s = ws.install_datafile(d_s)
+        ws.start_measurement()
+        first_page = ws.disk.allocated_pages
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            result = _join(ws, tree_r, file_s)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert result.pairs
+        return added, ws.disk.allocated_pages - first_page, tree_r
+
+    added_by_join(True)                     # warm any lazy state
+    recorded, pages, tree_r = added_by_join(True)
+    assert _recording(tree_r) is not None
+    plain, plain_pages, _ = added_by_join(False)
+    assert pages == plain_pages > 0
+    assert recorded - plain <= 8 * pages

@@ -27,6 +27,7 @@ import os
 import pytest
 
 import repro.join.batch as join_batch
+import repro.join.zjoin as zjoin
 import repro.kernels.batch as kernel_batch
 import repro.kernels.node_store as node_store
 import repro.seeded.replay as replay_mod
@@ -142,13 +143,14 @@ GEOMETRY_KERNELS = (
 BATCH_PHASES = (join_batch.match_trees_batch, join_batch.window_join_batch)
 
 #: Which methods reach each layer on the fast path. ZJOIN's kernel is
-#: the batch decomposition that builds both of its z-files; its merge
-#: has a single implementation.
+#: the batch decomposition that builds both of its z-files.
 KERNEL_METHODS = ("RTJ", "STJ", "NAIVE", "2STJ", "ZJOIN")
 BATCH_METHODS = ("BFJ", "RTJ", "STJ", "2STJ")
 
-#: The scalar decomposition, which only ZJOIN's scalar leg may call.
-SCALAR_DECOMPOSE = zcurve.decompose
+#: ZJOIN's decomposition and merge on each path: only its fast leg may
+#: call the batch pair, only its scalar leg the scalar pair.
+ZJOIN_FAST = (BATCH_DECOMPOSE, zjoin.batch_merge)
+ZJOIN_SCALAR = (zcurve.decompose, zjoin.stack_merge)
 
 
 def _kernel_workload(seed: int):
@@ -199,8 +201,9 @@ def _fast_and_scalar(method: str, run, monkeypatch, count_calls):
     took: counting begins when ``run`` calls ``start()`` after set-up,
     and the fast leg calls into exactly the layers ``method`` reaches,
     the scalar leg into neither (ZJOIN's scalar leg calls the scalar
-    ``decompose`` instead)."""
-    calls = count_calls(*GEOMETRY_KERNELS, *BATCH_PHASES, SCALAR_DECOMPOSE)
+    ``decompose`` and ``stack_merge`` instead)."""
+    calls = count_calls(*GEOMETRY_KERNELS, *BATCH_PHASES,
+                        zjoin.batch_merge, *ZJOIN_SCALAR)
     legs = []
     for kernels in ("1", "0"):
         monkeypatch.setenv("REPRO_KERNELS", kernels)
@@ -214,16 +217,15 @@ def _fast_and_scalar(method: str, run, monkeypatch, count_calls):
         assert ran_batch == (fast and method in BATCH_METHODS), (
             f"REPRO_KERNELS={kernels}: {method} made calls {dict(calls)}"
         )
-        # ZJOIN builds its z-files with exactly one decomposition: the
-        # batch one on the fast leg, the per-rectangle one on the scalar.
-        ran_batch_decompose = calls[BATCH_DECOMPOSE.__name__] > 0
-        ran_scalar_decompose = calls[SCALAR_DECOMPOSE.__name__] > 0
-        assert ran_batch_decompose == (fast and method == "ZJOIN"), (
-            f"REPRO_KERNELS={kernels}: {method} made calls {dict(calls)}"
-        )
-        assert ran_scalar_decompose == (not fast and method == "ZJOIN"), (
-            f"REPRO_KERNELS={kernels}: {method} made calls {dict(calls)}"
-        )
+        # ZJOIN builds and merges its z-files on exactly one path: batch
+        # decomposition and vectorized merge on the fast leg, the
+        # per-rectangle decomposition and the stack merge on the scalar.
+        for fns, on in ((ZJOIN_FAST, fast), (ZJOIN_SCALAR, not fast)):
+            for fn in fns:
+                assert (calls[fn.__name__] > 0) == (on and method == "ZJOIN"), (
+                    f"REPRO_KERNELS={kernels}: {method} made calls "
+                    f"{dict(calls)}"
+                )
     return legs
 
 
