@@ -28,7 +28,8 @@ root:
 
 Flags::
 
-    --quick   smaller sizes, three methods, divisor-10 scale (CI smoke)
+    --quick   smaller sizes, the five tree and z-order methods (NAIVE
+              left out), divisor-10 scale (CI smoke)
     --check   exit non-zero unless the sweep kernel beats the scalar
               sweep (micro), the warm end-to-end leg clears the
               per-method floors (STJ >= 2.0x and BFJ >= 3.0x full
@@ -44,6 +45,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import pathlib
@@ -68,7 +70,7 @@ COVER_QUOTIENT = 0.2
 CONFIG = SystemConfig(page_size=512, buffer_pages=280)
 
 METHODS = ("BFJ", "RTJ", "STJ", "NAIVE", "ZJOIN", "2STJ")
-QUICK_METHODS = ("BFJ", "STJ", "ZJOIN")
+QUICK_METHODS = ("BFJ", "RTJ", "STJ", "ZJOIN", "2STJ")
 MICRO_SIZES = (1_000, 10_000, 100_000)
 QUICK_MICRO_SIZES = (1_000, 10_000)
 
@@ -95,9 +97,12 @@ SUMMARY_FIELDS = (
 
 
 def timed(fn, repeats: int = 3):
-    """Best-of-N wall time: the minimum is the least noisy estimator."""
+    """Best-of-N wall time: the minimum is the least noisy estimator.
+    Garbage left by earlier work is collected before each timed run,
+    outside it."""
     best, result = None, None
     for _ in range(repeats):
+        gc.collect()
         t0 = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - t0
@@ -212,6 +217,9 @@ def bench_e2e_method(env_for, method: str, repeats: int, leg: str) -> dict:
         for label, kernels in E2E_MODES:
             os.environ["REPRO_KERNELS"] = kernels
             env = env_for()
+            # Collect the previous run's garbage now, not inside this
+            # run's timed region.
+            gc.collect()
             t0 = time.perf_counter()
             out = run(*env)
             elapsed = time.perf_counter() - t0
@@ -306,6 +314,10 @@ def run(quick: bool) -> dict:
         out["e2e"]["algorithms"][method] = bench_e2e_method(
             lambda: shared, method, repeats, "warm",
         )
+    # Release the warm leg's workspace before the cold leg: a heap it
+    # keeps alive is scanned by every collection the cold runs trigger.
+    del shared, ws, tree_r, file_s
+    gc.collect()
     # Cold leg: every run in a fresh workspace, so nothing it joins has
     # been seen before and no warm state can hit.
     for method in methods:

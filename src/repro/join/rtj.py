@@ -32,6 +32,8 @@ from ..metrics import MetricsCollector, Phase
 from ..metrics.tracing import JoinTrace
 from ..rtree import RTree, RTreeCheckpointer, build_with_checkpoints
 from ..rtree.split import SplitFunction, quadratic_split
+from ..seeded.builder import build_rtree
+from ..seeded.replay import log_first
 from ..storage import BufferPool, DataFile, RecoveryPolicy
 from .engine import ExecutionContext, ExecutionMode, JoinPhase, JoinPipeline
 from .matching import match_trees
@@ -41,6 +43,14 @@ _TREE_NAME = "T_S(rtj)"
 
 
 def _construct(ctx: ExecutionContext) -> None:
+    if log_first(ctx):
+        # Same tree, pages and counters as the per-object build below,
+        # computed off the buffer and replayed as one effect log.
+        ctx.state["index"] = build_rtree(
+            ctx.buffer, ctx.config, ctx.metrics, ctx.data_s,
+            split=ctx.options["split"], name=_TREE_NAME, fast=ctx.mode.fast,
+        )
+        return
     ctx.state["index"] = RTree.build(
         ctx.buffer, ctx.config, ctx.data_s.scan(), metrics=ctx.metrics,
         split=ctx.options["split"], name=_TREE_NAME, fast=ctx.mode.fast,

@@ -36,7 +36,8 @@ from ..metrics.tracing import JoinTrace
 from ..rtree import RTree
 from ..rtree.split import SplitFunction, quadratic_split
 from ..seeded import CopyStrategy, GrowCheckpointer, SeededTree, UpdatePolicy
-from ..seeded.replay import cached_construct
+from ..seeded.builder import build_seeded_tree
+from ..seeded.replay import BuildRecording, cached_construct, log_first
 from ..storage import BufferPool, DataFile, RecoveryPolicy
 from .bfj import bfj_pipeline
 from .engine import ExecutionContext, ExecutionMode, JoinPhase, JoinPipeline
@@ -55,14 +56,27 @@ def _build_tree(ctx: ExecutionContext, checkpointer: Any, salvage: Any) -> None:
     ctx.state["index"] = tree_s
 
 
+def _build(ctx: ExecutionContext) -> BuildRecording | None:
+    """The construct body: the log-first builder where it may run,
+    returning its log as the warm recording; else the per-object loop."""
+    if not log_first(ctx):
+        _build_tree(ctx, None, None)
+        return None
+    ctx.state["index"], rec = build_seeded_tree(
+        ctx.buffer, ctx.config, ctx.metrics, ctx.data_s, ctx.tree_r,
+        fast=ctx.mode.fast, **ctx.options["tree_kwargs"],
+    )
+    return rec
+
+
 def _construct(ctx: ExecutionContext) -> None:
     # The non-recovering construct is a pure function of (T_R, D_S,
-    # knobs): a resident workspace re-joining the same inputs replays
-    # the first build's recorded effect log instead of re-running the
-    # insertion loop (see repro.seeded.replay). Recovery, tracing,
-    # sanitizing, fault-injected and kernels/batch-off runs all take
-    # the scalar body below unchanged.
-    cached_construct(ctx, lambda c: _build_tree(c, None, None))
+    # knobs): a cold build runs off the buffer and replays its own
+    # effect log (repro.seeded.builder), and a resident workspace
+    # re-joining the same inputs replays that log again instead of
+    # building (repro.seeded.replay). Recovery, tracing, sanitizing,
+    # fault-injected and kernels-off runs all take the per-object body.
+    cached_construct(ctx, _build)
 
 
 def _make_checkpointer(ctx: ExecutionContext) -> GrowCheckpointer:

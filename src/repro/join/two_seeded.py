@@ -30,6 +30,8 @@ from ..metrics import MetricsCollector, Phase
 from ..metrics.tracing import JoinTrace
 from ..rtree.split import SplitFunction, quadratic_split
 from ..seeded import CopyStrategy, SeededTree, UpdatePolicy
+from ..seeded.builder import build_seeded_tree
+from ..seeded.replay import log_first
 from ..storage import BufferPool, DataFile
 from .engine import ExecutionContext, JoinPhase, JoinPipeline
 from .matching import match_trees
@@ -100,20 +102,29 @@ def _prepare(ctx: ExecutionContext) -> None:
 def _construct(ctx: ExecutionContext) -> None:
     opts = ctx.options
     boxes = ctx.state["seed_boxes"]
+    # Both trees build log-first (repro.seeded.builder) where
+    # construction replay may run and both inputs are data files.
+    log = log_first(ctx) and isinstance(opts["data_b"], DataFile)
     trees = []
     for data, label in ((ctx.data_s, "T_A"), (opts["data_b"], "T_B")):
-        tree = SeededTree(
-            ctx.buffer, ctx.config, ctx.metrics,
+        kwargs = dict(
             copy_strategy=opts["copy_strategy"],
             update_policy=opts["update_policy"],
             use_linked_lists=opts["use_linked_lists"],
             split=opts["split"],
             name=label,
-            fast=ctx.mode.fast,
         )
-        tree.seed_from_boxes(boxes)
-        tree.grow_from(data)
-        tree.cleanup()
+        if log:
+            tree, _ = build_seeded_tree(
+                ctx.buffer, ctx.config, ctx.metrics, data, boxes,
+                fast=ctx.mode.fast, **kwargs,
+            )
+        else:
+            tree = SeededTree(ctx.buffer, ctx.config, ctx.metrics,
+                              fast=ctx.mode.fast, **kwargs)
+            tree.seed_from_boxes(boxes)
+            tree.grow_from(data)
+            tree.cleanup()
         trees.append(tree)
     ctx.state["tree_a"], ctx.state["tree_b"] = trees
     ctx.state["index"] = trees[0]

@@ -162,11 +162,16 @@ def least_enlargement_index(arr: RectArray, rect: Rect) -> int | None:
 # Center-distance scan (seeded growing phase, point seeds)
 # --------------------------------------------------------------------- #
 
-def min_center_distance_index(arr: RectArray, rect: Rect) -> int:
+def min_center_distance_index(arr: RectArray, rect: Rect) -> int | None:
     """First index minimising squared center distance to ``rect``.
 
     Mirrors ``min(entries, key=lambda e: e.mbr.center_distance_sq(rect))``
     — ``min`` keeps the first of equal keys, as does ``argmin``.
+
+    Returns ``None`` — caller falls back to its scalar loop — when a
+    distance is NaN (coordinate overflow): ``argmin`` picks the first
+    NaN, while the scalar loop keeps a NaN first row and skips every
+    later one, so no minimum over the column reproduces it.
     """
     if arr.n == 0:
         raise GeometryError("min_center_distance_index() of an empty RectArray")
@@ -175,7 +180,11 @@ def min_center_distance_index(arr: RectArray, rect: Rect) -> int:
     if arr.is_numpy:
         dx = (arr.xlo + arr.xhi) - rsx
         dy = (arr.ylo + arr.yhi) - rsy
-        return int(np.argmin((dx * dx + dy * dy) / 4.0))
+        dist = (dx * dx + dy * dy) / 4.0
+        best = int(np.argmin(dist))
+        if dist[best] != dist[best]:    # argmin stops at the first NaN
+            return None
+        return best
     best_idx = 0
     best = None
     xlo, ylo, xhi, yhi = arr.xlo, arr.ylo, arr.xhi, arr.yhi
@@ -183,6 +192,8 @@ def min_center_distance_index(arr: RectArray, rect: Rect) -> int:
         dx = (xlo[i] + xhi[i]) - rsx
         dy = (ylo[i] + yhi[i]) - rsy
         d = (dx * dx + dy * dy) / 4.0
+        if d != d:
+            return None
         if best is None or d < best:
             best_idx, best = i, d
     return best_idx

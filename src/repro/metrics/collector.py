@@ -20,7 +20,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterator
+from typing import Iterator
 
 from ..config import SystemConfig
 from .counters import CpuCounters, FaultCounters, IoCounters
@@ -169,9 +169,6 @@ class MetricsCollector:
             p: FaultCounters() for p in Phase
         }
         self._phase = Phase.SETUP
-        # Construction-effect recorder hook (an EffectLog; see
-        # repro.seeded.replay).
-        self._recorder: Any = None
 
     # ----------------------------------------------------------------- #
     # Phase control
@@ -250,9 +247,6 @@ class MetricsCollector:
 
     def count_bbox_tests(self, count: int = 1) -> None:
         self.cpu.bbox_tests += count
-        rec = self._recorder
-        if rec is not None:
-            rec.extend((6, count, 0))
 
     def count_xy_tests(self, count: int = 1) -> None:
         self.cpu.xy_tests += count

@@ -68,7 +68,9 @@ def quadratic_split(
             return [entries[k] for k in idx_a], [entries[k] for k in idx_b]
 
     # --- PickSeeds: maximise d = area(union) - area(e1) - area(e2) ----- #
-    seed_a = seed_b = -1
+    # When no pair's waste exceeds -inf (every area overflowed to inf,
+    # so each d is NaN or -inf), the first pair seeds the groups.
+    seed_a, seed_b = 0, 1
     worst = float("-inf")
     areas = [e.mbr.area() for e in entries]
     for i in range(n):

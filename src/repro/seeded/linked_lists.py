@@ -151,9 +151,6 @@ class LinkedListManager:
                 next_id += 1
             segments.append(ListSegment(slot_index, seg_first, count))
             slot.pages = []
-        rec = self.disk._recorder
-        if rec is not None:
-            rec.extend((8, first_id, rec.ref(pages)))
         self.disk.write_run(pages)
         self.batches.append(Batch(first_id, total, tuple(segments)))
         self.resident_pages -= total
@@ -217,13 +214,10 @@ class LinkedListManager:
         which is precisely the miss pattern linked lists exist to avoid.
         """
         per_slot: dict[int, list[DataEntry]] = {}
-        rec = self.disk._recorder
 
         # Step 1: sequential batch replays, each page retried on
         # transient faults (identical charge when fault-free).
         for batch in self.batches:
-            if rec is not None:
-                rec.extend((9, batch.first_page_id, batch.num_pages))
             pages = [
                 retry_read(
                     # Section 3.1 replays flushed list runs sequentially;
@@ -277,9 +271,6 @@ class LinkedListManager:
                 )
                 for i in range(num_pages)
             ]
-            if rec is not None:
-                rec.extend((8, first_id, rec.ref(pages)))
-                rec.extend((9, first_id, num_pages))
             self.disk.write_run(pages)
             for page_id in range(first_id, first_id + num_pages):
                 retry_read(

@@ -64,6 +64,20 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from .recovery import GrowCheckpointer, GrowSalvage
 
 
+def tile_order(rects: list[Rect], capacity: int) -> list[Rect]:
+    """Sort-Tile order of artificial seed boxes, ``capacity`` per node."""
+    groups = math.ceil(len(rects) / capacity)
+    slices = max(1, math.ceil(math.sqrt(groups)))
+    per_slice = slices * capacity
+    by_x = sorted(rects, key=lambda r: r.xlo + r.xhi)
+    ordered: list[Rect] = []
+    for s in range(0, len(by_x), per_slice):
+        ordered.extend(
+            sorted(by_x[s:s + per_slice], key=lambda r: r.ylo + r.yhi)
+        )
+    return ordered
+
+
 class TreePhase(Enum):
     """Where a seeded tree is in its lifecycle."""
 
@@ -200,12 +214,8 @@ class SeededTree:
         """
         if self.phase is not TreePhase.CREATED:
             raise TreePhaseError(f"cannot seed in phase {self.phase.value}")
+        self._check_seeding_tree(seeding_tree)
         k = self.seed_levels
-        if k >= seeding_tree.height:
-            raise SeedingError(
-                f"{k} seed levels requested but the seeding tree has only "
-                f"{seeding_tree.height} levels (slots need pointer entries)"
-            )
 
         # Breadth-first copy of T_R levels 0 .. k-1. Seed nodes carry a
         # provisional level (fixed up at clean-up); what matters during
@@ -253,28 +263,10 @@ class SeededTree:
         """
         if self.phase is not TreePhase.CREATED:
             raise TreePhaseError(f"cannot seed in phase {self.phase.value}")
-        if self.filtering:
-            raise SeedingError(
-                "seed-level filtering needs shadows copied from a real "
-                "R-tree; artificial seeds cannot filter safely"
-            )
-        if not boxes:
-            raise SeedingError("artificial seeding needs at least one box")
-
-        def tile_order(rects: list[Rect]) -> list[Rect]:
-            groups = math.ceil(len(rects) / self.capacity)
-            slices = max(1, math.ceil(math.sqrt(groups)))
-            per_slice = slices * self.capacity
-            by_x = sorted(rects, key=lambda r: r.xlo + r.xhi)
-            ordered: list[Rect] = []
-            for s in range(0, len(by_x), per_slice):
-                ordered.extend(
-                    sorted(by_x[s:s + per_slice], key=lambda r: r.ylo + r.yhi)
-                )
-            return ordered
+        self._check_seed_boxes(boxes)
 
         # Bottom level: slot nodes over the given boxes.
-        ordered = tile_order(list(boxes))
+        ordered = tile_order(boxes, self.capacity)
         level_nodes: list[Node] = []
         for off in range(0, len(ordered), self.capacity):
             chunk = ordered[off:off + self.capacity]
@@ -314,6 +306,25 @@ class SeededTree:
 
         self._apply_copy_strategy()
         self.phase = TreePhase.SEEDED
+
+    def _check_seeding_tree(self, seeding_tree: RTree) -> None:
+        """Raise unless ``seeding_tree`` is tall enough for the seed levels."""
+        k = self.seed_levels
+        if k >= seeding_tree.height:
+            raise SeedingError(
+                f"{k} seed levels requested but the seeding tree has only "
+                f"{seeding_tree.height} levels (slots need pointer entries)"
+            )
+
+    def _check_seed_boxes(self, boxes: list[Rect]) -> None:
+        """Raise unless artificial seeding over ``boxes`` is sound."""
+        if self.filtering:
+            raise SeedingError(
+                "seed-level filtering needs shadows copied from a real "
+                "R-tree; artificial seeds cannot filter safely"
+            )
+        if not boxes:
+            raise SeedingError("artificial seeding needs at least one box")
 
     def _copy_seed_node(self, source: Node, depth: int) -> Node:
         """Materialise one seed node copied from a seeding-tree node."""
@@ -518,10 +529,11 @@ class SeededTree:
             # the descent patches that single cache row, so the column
             # caches stay warm across inserts.
             arr = node.rect_array()
+            # None on a NaN distance or enlargement: the scalar loop
+            # decides.
             if all_points(arr):
                 idx = min_center_distance_index(arr, rect)
             else:
-                # None on a NaN enlargement: the scalar loop decides.
                 idx = least_enlargement_index(arr, rect)
             if idx is not None:
                 return entries[idx], idx

@@ -85,11 +85,6 @@ class BufferPool:
         self.policy = policy
         self.retry = retry or DEFAULT_RETRY_POLICY
         self.stats = BufferStats()
-        # Optional construction-effect recorder (an EffectLog shared with
-        # the disk and metrics hooks; see repro.seeded.replay). When set,
-        # every pool operation appends one integer triple. None costs a
-        # single attribute test on the hot paths.
-        self._recorder: Any = None
         self._is_lru = policy == "lru"
         self._is_clock = policy == "clock"
         # Eviction order: least recently used first (LRU), insertion
@@ -112,9 +107,6 @@ class BufferPool:
 
     def fetch(self, page_id: int, pin: bool = False) -> Page:
         """Return the page, reading it from disk on a miss."""
-        rec = self._recorder
-        if rec is not None:
-            rec.extend((1 if pin else 0, page_id, 0))
         frames = self._frames
         frame = frames.get(page_id)
         if frame is not None:
@@ -208,35 +200,35 @@ class BufferPool:
         delta: int,
         payloads: list,
         metrics: Any,
-        data_file: Any,
     ) -> None:
-        """Execute a recorded construction effect log against the pool.
+        """Execute a construction effect log against the pool.
 
-        ``ops`` is the :class:`~repro.seeded.replay.EffectLog` the
-        ``_recorder`` hooks fill (its docstring lists the op codes), and
-        this is its only decoder. Page ids at or past ``start`` were
-        allocated by the recorded build and are shifted by ``delta`` —
-        the allocator is monotone, so a faithful re-issue of the
-        recorded allocations lands every created page exactly ``delta``
-        past its recorded id. Creations consume ``payloads`` in order
-        (final-state node images with pre-shifted ids and refs).
+        ``ops`` is an :class:`~repro.seeded.replay.EffectLog` (its
+        docstring lists the op codes), written by the log-first builder
+        (:mod:`repro.seeded.builder`); this is its only decoder. Page
+        ids at or past ``start`` were allocated by the logged build and
+        are shifted by ``delta`` — the allocator is monotone, so a
+        faithful re-issue of the logged allocations lands every created
+        page exactly ``delta`` past its logged id (zero on the build's
+        own replay). Creations consume ``payloads`` in order (final-state
+        node images with pre-shifted ids and refs).
 
         The replay makes the same pool calls in the same order as the
-        recorded build would if re-run now: hits, misses, evictions,
+        per-object build would if run now: hits, misses, evictions,
         write-backs and the disk's sequential/random classification all
         fall out of the *current* pool state, exactly as they would for
-        the scalar build. The unpinned-fetch hit path is inlined for the
-        LRU policy (the overwhelmingly common op); everything else takes
-        the ordinary methods. Callers gate on a fault-free disk, so no
-        op can raise mid-stream.
+        the scalar build. The hit paths of fetch and pinned fetch (for
+        the LRU policy), dirty mark and unpin are inlined, which covers
+        nearly every op; everything else takes the ordinary methods.
+        Callers gate on a fault-free disk, so no op can raise
+        mid-stream.
         """
         from .datafile import DataPageRecord
 
         frames = self._frames
         get = frames.get
         move = frames.move_to_end
-        stats = self.stats
-        is_lru = self._is_lru
+        lru = self._is_lru
         fetch = self.fetch
         disk = self.disk
         side = ops.side
@@ -245,46 +237,61 @@ class BufferPool:
         it = iter(ops)
         try:
             for code, a, b in zip(it, it, it):
-                if code == 0:
+                if code < 7:
                     if a >= start:
                         a += delta
                     frame = get(a)
-                    if frame is not None and is_lru:
-                        hits += 1
-                        move(a)
+                    if code == 1:
+                        # Pin lifetime mirrors the logged build's own
+                        # pin/unpin ops; eligibility gates on a
+                        # fault-free disk, so nothing here can raise
+                        # mid-sequence.
+                        if frame is not None and lru:
+                            hits += 1
+                            move(a)
+                            frame.pin_count += 1
+                        else:
+                            # repro-lint: disable=RPR003 -- replayed pin, release op follows in the log
+                            fetch(a, pin=True)
+                    elif code == 5:
+                        if frame is not None and frame.pin_count > 0:
+                            frame.dirty = True
+                            frame.pin_count -= 1
+                        else:
+                            self.mark_dirty(a)
+                            self.unpin(a)
+                    elif code < 4:
+                        if code == 2:
+                            page = self.new_page(side[b], payloads[payload_i])
+                            payload_i += 1
+                            if page.page_id != a:
+                                # Not a StorageError: the engine's
+                                # degradation path would silently
+                                # downgrade the join and mask a broken
+                                # replay invariant.
+                                raise RuntimeError(
+                                    "construction replay allocation "
+                                    f"drifted: page {page.page_id} != {a}"
+                                )
+                        elif frame is not None and lru:
+                            hits += 1
+                            move(a)
+                            if code == 3:
+                                frame.dirty = True
+                        else:
+                            fetch(a)
+                            if code == 3:
+                                self.mark_dirty(a)
+                    elif code == 4:
+                        self.unpin(a)
                     else:
-                        fetch(a)
-                elif code == 6:
-                    metrics.count_bbox_tests(a)
-                elif code == 3:
-                    self.mark_dirty(a + delta if a >= start else a)
-                elif code == 1:
-                    # Pin lifetime mirrors the recorded build's own
-                    # pin/unpin ops; eligibility gates on a fault-free
-                    # disk, so nothing here can raise mid-sequence.
-                    # repro-lint: disable=RPR003 -- replayed pin, release op follows in the log
-                    fetch(a + delta if a >= start else a, pin=True)
-                elif code == 4:
-                    self.unpin(a + delta if a >= start else a)
-                elif code == 2:
-                    payload = payloads[payload_i]
-                    payload_i += 1
-                    page = self.new_page(side[b], payload)
-                    if page.page_id != a + delta:
-                        # Not a StorageError: the engine's degradation
-                        # path would silently downgrade the join and
-                        # mask a broken replay invariant.
-                        raise RuntimeError(
-                            "construction replay allocation drifted: "
-                            f"page {page.page_id} != {a + delta}"
-                        )
-                elif code == 5:
-                    self.drop(a + delta if a >= start else a,
-                              write_back=bool(b))
+                        self.drop(a, write_back=bool(b))
                 elif code == 7:
-                    for _ in data_file.scan_pages():
-                        pass
+                    metrics.count_bbox_tests(a)
                 elif code == 8:
+                    for _ in side[a].scan_pages():
+                        pass
+                elif code == 9:
                     pages = side[b]
                     first = disk.allocate(len(pages))
                     if first != a + delta:
@@ -303,17 +310,16 @@ class BufferPool:
                         )
                         for p in pages
                     ])
-                elif code == 9:
+                elif code == 10:
                     first = a + delta
                     for i in range(b):
-                        # Recorded linked-list sweeps bypass the buffer
-                        # by design (Section 3.1), so their replay must
-                        # too.
+                        # Linked-list sweeps bypass the buffer by design
+                        # (Section 3.1), so their replay must too.
                         disk.read(first + i)
-                else:  # pragma: no cover - recorder emits only 0..9
+                else:  # pragma: no cover - the builders emit only 0..10
                     raise RuntimeError(f"unknown replay op {code}")
         finally:
-            stats.hits += hits
+            self.stats.hits += hits
 
     def _read_retrying(self, page_id: int) -> Page:
         """Disk read with bounded exponential backoff on transient faults.
@@ -357,9 +363,6 @@ class BufferPool:
     def new_page(self, kind: PageKind, payload: Any, pin: bool = False) -> Page:
         """Create a page in the buffer (no I/O yet; it is born dirty)."""
         page_id = self.disk.allocate()
-        rec = self._recorder
-        if rec is not None:
-            rec.create(page_id, kind)
         page = Page(page_id, kind, payload)
         frame = self._admit(page, dirty=True)
         if pin:
@@ -387,9 +390,6 @@ class BufferPool:
         return frame
 
     def mark_dirty(self, page_id: int) -> None:
-        rec = self._recorder
-        if rec is not None:
-            rec.extend((3, page_id, 0))
         frame = self._frame_of(page_id)
         if frame is None:
             raise StorageError(f"page {page_id} is not resident")
@@ -406,9 +406,6 @@ class BufferPool:
         frame.pin_count += 1
 
     def unpin(self, page_id: int) -> None:
-        rec = self._recorder
-        if rec is not None:
-            rec.extend((4, page_id, 0))
         frame = self._frames.get(page_id)
         if frame is None:
             frame = self._parked.get(page_id)
@@ -467,9 +464,6 @@ class BufferPool:
         one sequential ``write_run`` and then *drops* the frames — paying
         the eviction write here as well would double-charge the I/O.
         """
-        rec = self._recorder
-        if rec is not None:
-            rec.extend((5, page_id, 1 if write_back else 0))
         store = self._frames
         frame = store.get(page_id)
         if frame is None:

@@ -108,9 +108,6 @@ class DataFile:
         retried page honestly re-charges its replay seek as random.
         Corruption propagates unretried.
         """
-        rec = self.disk._recorder
-        if rec is not None:
-            rec.extend((7, 0, 0))
         return [
             retry_read(
                 lambda pid=page_id: self.disk.read(pid), self.disk.metrics,

@@ -24,7 +24,7 @@ Without an injector (or with it disarmed) the accounting is untouched.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..errors import DeadlineExceededError, PageNotFoundError, StorageError
 from ..metrics import MetricsCollector
@@ -47,11 +47,6 @@ class DiskSimulator:
         self._pages: dict[int, Page] = {}
         self._next_id = 0
         self._last_accessed: int | None = None
-        # Shared construction-effect recorder (an EffectLog; see
-        # repro.seeded.replay): components that bypass the buffer pool
-        # by design — data-file scans, linked-list batch I/O — append
-        # their ops here so the recorded log keeps the true global order.
-        self._recorder: Any = None
         #: Cooperative request cancellation (duck-typed; see
         #: :class:`repro.service.Deadline`). When set, every accounted
         #: access first checks it and raises

@@ -221,6 +221,26 @@ class TestScanKernels:
         assert choice(False) == want
         assert choice(True) == want
 
+    @pytest.mark.parametrize("n", (8, 70))
+    def test_nan_center_distance_defers_to_scalar_loop(self, n):
+        """Point seeds, one at (1.5e308, -1.5e308), probed at
+        x=1.7e308: that seed's center distance is inf - inf = NaN and
+        every other one is inf. The kernel returns None on both column
+        backends, and the seed descent's scalar loop keeps entry 0,
+        which the per-object path (recovery, faults and deadlines keep
+        it) must pick on either execution path."""
+        seeds = [Rect.point(i / 128.0, i / 128.0) for i in range(n)]
+        seeds[5] = Rect.point(1.5e308, -1.5e308)
+        probe = Rect.point(1.7e308, 0.0)
+        for backend in BACKENDS:
+            assert min_center_distance_index(
+                arr_of(seeds, backend), probe) is None
+        node = Node(1, [Entry(r, i) for i, r in enumerate(seeds)])
+        assert node.rect_array().is_numpy == (n >= NUMPY_MIN_N)
+        for fast in (False, True):
+            tree = SeededTree(Workspace(SMALL).buffer, SMALL, fast=fast)
+            assert tree._choose_seed_entry(node, probe)[1] == 0
+
     @backend_param
     @settings(max_examples=150, deadline=None)
     @given(rs=rect_lists(min_size=1, max_size=40), probe=rects())

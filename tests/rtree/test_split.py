@@ -57,6 +57,16 @@ class TestSplitContracts:
         a, b = split(entries, min_fill=4)
         check_split(entries, (a, b), 4)
 
+    @pytest.mark.parametrize("fast", (False, True))
+    def test_overflowing_areas_still_partition(self, split, fast):
+        """Every area is inf, so every pair's waste is inf - inf = NaN:
+        the split must still hand out each entry exactly once (PickSeeds
+        once seeded both groups with the last entry)."""
+        entries = [Entry(Rect(-1.7e308, -1.7e308, 1.7e308, 1.7e308), i)
+                   for i in range(5)]
+        groups = split(entries, 2, None, fast)
+        check_split(entries, groups, 2)
+
     def test_metrics_counted(self, split):
         m = MetricsCollector()
         entries = entries_from(random_rects(20, seed=4))

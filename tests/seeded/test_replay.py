@@ -14,6 +14,7 @@ import gc
 import numpy as np
 import pytest
 
+import repro.join.stj as stj_mod
 import repro.seeded.replay as replay_mod
 from repro.config import SystemConfig
 from repro.geometry import Rect
@@ -58,19 +59,20 @@ def env(monkeypatch):
 
 @pytest.fixture
 def spies(monkeypatch):
-    """Count _record/_replay invocations without changing behaviour."""
+    """Count STJ's log-first builds (each records its log) and warm
+    replays without changing behaviour."""
     counts = {"record": 0, "replay": 0}
-    orig_record, orig_replay = replay_mod._record, replay_mod._replay
+    orig_build, orig_replay = stj_mod.build_seeded_tree, replay_mod._replay
 
-    def record(ctx, build, key):
+    def record(*args, **kwargs):
         counts["record"] += 1
-        return orig_record(ctx, build, key)
+        return orig_build(*args, **kwargs)
 
     def replay(rec, ctx):
         counts["replay"] += 1
         return orig_replay(rec, ctx)
 
-    monkeypatch.setattr(replay_mod, "_record", record)
+    monkeypatch.setattr(stj_mod, "build_seeded_tree", record)
     monkeypatch.setattr(replay_mod, "_replay", replay)
     return counts
 
@@ -250,22 +252,23 @@ def test_allocation_drift_raises_runtime_error():
     # that disagrees with where the allocator actually is.
     delta = (disk._next_id - 5) + 7
     ops = replay_mod.EffectLog()
-    ops.create(5, PageKind.TREE_NODE)
+    ops.extend((2, 5, ops.ref(PageKind.TREE_NODE)))
     with pytest.raises(RuntimeError, match="drifted"):
-        buffer.replay_ops(ops, 0, delta, [Node(0, [])], ws.metrics, None)
+        buffer.replay_ops(ops, 0, delta, [Node(0, [])], ws.metrics)
 
 
 def test_recording_allocates_per_page_not_per_op(monkeypatch):
-    """Recording a build adds a few objects the garbage collector tracks
-    per page the build allocates (the pages' final images), not one per
-    logged op as a list of op tuples did: the effect log is one flat
-    integer array."""
+    """Keeping a build's recording adds a few objects the garbage
+    collector tracks per page the build allocates (the pages' final
+    images), not one per logged op as a list of op tuples did: the
+    effect log is one flat integer array. With the cache stood down the
+    builder still runs, and its recording is dropped."""
     monkeypatch.setenv("REPRO_KERNELS", "1")
     d_r, d_s = _workload()
-    eligible = replay_mod._eligible
+    eligible = replay_mod.log_first
 
     def added_by_join(record):
-        monkeypatch.setattr(replay_mod, "_eligible",
+        monkeypatch.setattr(replay_mod, "log_first",
                             eligible if record else lambda ctx: False)
         ws = Workspace(CFG)
         tree_r = ws.install_rtree(d_r)

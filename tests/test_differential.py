@@ -30,6 +30,7 @@ import repro.join.batch as join_batch
 import repro.join.zjoin as zjoin
 import repro.kernels.batch as kernel_batch
 import repro.kernels.node_store as node_store
+import repro.seeded.builder as builder
 import repro.seeded.replay as replay_mod
 import repro.zorder.curve as zcurve
 from repro.analysis.sanitizer import sanitizer_enabled
@@ -43,6 +44,8 @@ from repro.kernels.node_store import ColumnTree
 from repro.parallel import PublishedDataset, TileJob, TileRunner
 from repro.parallel.worker import unpack_outcome
 from repro.partition import summed_summary
+from repro.rtree import RTree
+from repro.seeded import SeededTree
 from repro.workload import ClusteredConfig, generate_clustered
 from repro.workspace import Workspace
 
@@ -152,6 +155,26 @@ BATCH_METHODS = ("BFJ", "RTJ", "STJ", "2STJ")
 ZJOIN_FAST = (BATCH_DECOMPOSE, zjoin.batch_merge)
 ZJOIN_SCALAR = (zcurve.decompose, zjoin.stack_merge)
 
+#: Construction on each path: a fast leg of these methods builds its
+#: trees log-first (unless the sanitizer stands the builder down) and
+#: never runs the per-object loop's entry points; a scalar leg never
+#: calls the builder.
+LOG_FIRST_METHODS = ("RTJ", "STJ", "2STJ")
+BUILDERS = (builder.build_seeded_tree, builder.build_rtree)
+PER_OBJECT = ((SeededTree, "grow_from"), (RTree, "insert"))
+
+
+def _count_methods(monkeypatch, calls, methods) -> None:
+    """Count calls of ``(class, name)`` methods into ``calls``."""
+    for cls, name in methods:
+        original = getattr(cls, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
 
 def _kernel_workload(seed: int):
     if seed not in _KERNEL_CACHE:
@@ -203,12 +226,24 @@ def _fast_and_scalar(method: str, run, monkeypatch, count_calls):
     the scalar leg into neither (ZJOIN's scalar leg calls the scalar
     ``decompose`` and ``stack_merge`` instead)."""
     calls = count_calls(*GEOMETRY_KERNELS, *BATCH_PHASES,
-                        zjoin.batch_merge, *ZJOIN_SCALAR)
+                        zjoin.batch_merge, *ZJOIN_SCALAR, *BUILDERS)
+    _count_methods(monkeypatch, calls, PER_OBJECT)
     legs = []
     for kernels in ("1", "0"):
         monkeypatch.setenv("REPRO_KERNELS", kernels)
         legs.append(run(calls.clear))
         fast = kernels == "1"
+        # Read after the leg: a leg may arm the sanitizer for itself.
+        log_first = (fast and not sanitizer_enabled()
+                     and method in LOG_FIRST_METHODS)
+        ran_builder = any(calls[fn.__name__] for fn in BUILDERS)
+        assert ran_builder == log_first, (
+            f"REPRO_KERNELS={kernels}: {method} made calls {dict(calls)}"
+        )
+        if log_first:
+            assert not any(calls[name] for _, name in PER_OBJECT), (
+                f"{method} ran the per-object build: {dict(calls)}"
+            )
         ran_kernels = any(calls[fn.__name__] for fn in GEOMETRY_KERNELS)
         ran_batch = any(calls[fn.__name__] for fn in BATCH_PHASES)
         assert ran_kernels == (fast and method in KERNEL_METHODS), (
@@ -311,9 +346,10 @@ def test_batch_repeat_runs_bit_identical(method, monkeypatch, count_calls):
 #: window plan) -- six warm-cache entries on T_R.
 ROTATION = ("STJ1-2N", "RTJ", "BFJ", "STJ2-3F")
 
-#: What a fast-leg round may call, counted per round.
+#: What a fast-leg round may call, counted per round. Each run of the
+#: seeded builder records its log.
 WARM_WORK = (node_store.build_match_plans, node_store.build_window_plans,
-             replay_mod._record, replay_mod._replay)
+             builder.build_seeded_tree, replay_mod._replay)
 
 
 def test_resident_rotation_hits_every_cache(monkeypatch, count_calls):
@@ -335,6 +371,7 @@ def test_resident_rotation_hits_every_cache(monkeypatch, count_calls):
         for round_no in range(6):
             if round_no == 4:
                 tree_r.insert(Rect(0.4, 0.4, 0.46, 0.46), 10**5)
+                calls["insert"] -= 1   # this test's T_R edit, not a join's
             before = {fn.__name__: calls[fn.__name__] for fn in WARM_WORK}
             for method in ROTATION:
                 ws.start_measurement()
