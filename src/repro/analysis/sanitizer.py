@@ -22,7 +22,12 @@ pipeline phase boundary:
   (:mod:`repro.kernels`) must be exact copies of its live entry list; a
   stale cache means some mutation path forgot
   :meth:`~repro.rtree.node.Node.invalidate_caches` and the batch
-  kernels would silently compute against dead geometry.
+  kernels would silently compute against dead geometry;
+* **snapshot coherence** — a tree's memoised columnar snapshot
+  (:func:`repro.join.batch.column_tree_of`), when it is at the tree's
+  current version stamp, must equal a fresh pack of the live nodes
+  (:func:`packed_snapshot`) bit for bit. That covers snapshots carried
+  from a build or a replay and snapshots assembled from a previous one.
 
 Everything is observed through unaccounted paths (``peek``-backed node
 access, direct counter reads), so a sanitized run's
@@ -40,6 +45,7 @@ from typing import Any
 
 from ..errors import InvariantViolation
 from ..kernels import RectArray
+from ..kernels.node_store import ColumnTree
 from ..metrics.collector import CollectorSnapshot, MetricsCollector
 from ..rtree.node import Node, node_mbr
 from .witness import (  # noqa: F401  (re-export: the runtime lock witness)
@@ -49,6 +55,7 @@ from .witness import (  # noqa: F401  (re-export: the runtime lock witness)
 
 __all__ = [
     "Sanitizer",
+    "packed_snapshot",
     "resolve_sanitizer",
     "sanitizer_enabled",
     "witness_enabled",
@@ -77,6 +84,29 @@ def resolve_sanitizer(flag: "bool | Sanitizer | None") -> "Sanitizer | None":
     if flag is False:
         return None
     return Sanitizer() if sanitizer_enabled() else None
+
+
+def packed_snapshot(tree: Any) -> ColumnTree | None:
+    """The reference snapshot of a finished tree: every node's entries
+    packed by :meth:`ColumnTree.build` at the tree's current stamp, or
+    ``None`` when an object id does not fit int64."""
+    records = []
+    for node in tree.iter_nodes():
+        entries = node.entries
+        records.append((
+            node.page_id,
+            node.level,
+            [e.ref for e in entries],
+            [e.mbr.xlo for e in entries],
+            [e.mbr.ylo for e in entries],
+            [e.mbr.xhi for e in entries],
+            [e.mbr.yhi for e in entries],
+        ))
+    try:
+        return ColumnTree.build(records, tree.root_id,
+                                stamp=(tree.mutations, tree.root_id))
+    except OverflowError:
+        return None
 
 
 def _is_tree(obj: Any) -> bool:
@@ -201,6 +231,39 @@ class Sanitizer:
                 self._check_mid_construction_seeded(tree, where)
         else:
             self._check_rtree(tree, where)
+        self.check_snapshot(tree, where)
+
+    @staticmethod
+    def check_snapshot(tree: Any, where: str = "") -> None:
+        """A memoised snapshot at the tree's stamp equals a fresh pack.
+
+        A snapshot at an older stamp is never served again (the next
+        :func:`~repro.join.batch.column_tree_of` assembles a new one),
+        so only a current one is checked. A mismatch means an entry was
+        edited without ``invalidate_caches()``: with the stamp unmoved
+        the memoised snapshot went stale, and with it moved the assembly
+        kept that node's old rows.
+        """
+        record = getattr(tree, "_column_tree", None)
+        if record is None or record.stamp != (tree.mutations, tree.root_id):
+            return
+        cached, fresh = record.snapshot, packed_snapshot(tree)
+        if cached is None or fresh is None:
+            if cached is not fresh:
+                raise InvariantViolation(
+                    f"cached snapshot is {cached!r} where a fresh pack "
+                    f"gives {fresh!r} ({where})"
+                )
+            return
+        column = cached.differs_from(fresh)
+        if column is not None:
+            how = "carried" if record.carried else (
+                f"assembled with {record.reread} of {record.nodes} "
+                f"nodes re-read")
+            raise InvariantViolation(
+                f"cached snapshot ({how}) differs from a fresh pack of "
+                f"the live tree in {column!r} ({where})"
+            )
 
     def _check_rtree(self, tree: Any, where: str) -> None:
         """Balanced R-tree: uniform leaf depth via exact level stepping."""

@@ -26,13 +26,14 @@ class Rect:
     """A closed, axis-aligned rectangle ``[xlo, xhi] x [ylo, yhi]``.
 
     Coordinates are floats; ``xlo <= xhi`` and ``ylo <= yhi`` are enforced
-    at construction time.
+    at construction time, which also refuses a NaN coordinate (every
+    comparison with NaN is false).
     """
 
     __slots__ = ("xlo", "ylo", "xhi", "yhi")
 
     def __init__(self, xlo: float, ylo: float, xhi: float, yhi: float) -> None:
-        if xlo > xhi or ylo > yhi:
+        if not (xlo <= xhi and ylo <= yhi):
             raise GeometryError(
                 f"malformed rectangle: ({xlo}, {ylo}, {xhi}, {yhi})"
             )

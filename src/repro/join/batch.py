@@ -3,12 +3,13 @@
 The pure plan builders in :mod:`repro.kernels.node_store` turn a
 columnar tree snapshot into flat traversal programs — which pages the
 scalar algorithms would fetch, what they would charge, what they would
-emit. This module is the *impure* half: it owns the snapshots (built
-from unaccounted peeks, cached on the tree, invalidated by the
-``mutations`` version stamp), keeps the lowered plans in the persistent
-tree's :class:`~repro.join.warm_cache.WarmCache`, and replays the plans
-through the real buffer so the cost model observes the exact scalar
-behavior:
+emit. This module is the *impure* half: it owns the snapshots (read
+through unaccounted peeks, cached on the tree under its ``mutations``
+version stamp, and reassembled from the previous one when the stamp
+moves, re-reading only the nodes edited since), keeps the lowered plans
+in the persistent tree's :class:`~repro.join.warm_cache.WarmCache`, and
+replays the plans through the real buffer so the cost model observes
+the exact scalar behavior:
 
 * the same ``fetch``/``pin``/``unpin`` calls in the same order (LRU
   state, hit/miss split, eviction and fault positions all preserved);
@@ -35,19 +36,27 @@ unchanged.
 from __future__ import annotations
 
 import zlib
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from ..kernels.node_store import ColumnTree, build_match_plans, build_window_plans
+from ..kernels.node_store import (
+    ColumnTree,
+    assemble,
+    build_match_plans,
+    build_window_plans,
+)
 from ..metrics import MetricsCollector
+from ..rtree.node import next_edit_tick
 from .result import JoinPair
 from .warm_cache import warm_cache_of
 
 __all__ = [
+    "SnapshotRecord",
     "carry_column_tree",
     "column_tree_of",
     "match_trees_batch",
+    "snapshot_record",
     "window_join_batch",
 ]
 
@@ -56,16 +65,48 @@ __all__ = [
 # Snapshot ownership and invalidation
 # --------------------------------------------------------------------- #
 
+class SnapshotRecord(NamedTuple):
+    """A tree's memoised snapshot (``tree._column_tree``) and its making.
+
+    ``tick`` is an edit tick taken before the snapshot read the tree
+    (:func:`~repro.rtree.node.next_edit_tick`): a node with a smaller
+    tick has not changed since. It lives here, not on the
+    :class:`ColumnTree`, which match plans and recordings share.
+    ``reread`` counts the nodes read from their entries, of ``nodes``;
+    a carried snapshot read none and has ``carried`` set.
+    """
+
+    stamp: tuple
+    snapshot: ColumnTree | None
+    tick: int
+    reread: int
+    nodes: int
+    carried: bool = False
+
+
+def snapshot_record(tree: Any) -> SnapshotRecord | None:
+    """The tree's memoised snapshot record, whatever its stamp."""
+    return getattr(tree, "_column_tree", None)
+
+
 def column_tree_of(tree: Any) -> ColumnTree | None:
-    """The columnar snapshot of ``tree``, rebuilt when its version moves.
+    """The columnar snapshot of ``tree``, reassembled when its version moves.
 
     The version stamp is ``(tree.mutations, tree.root_id)``: every
     mutating lane bumps ``mutations`` (R-tree insert/delete, retained
     seeded-tree insert/delete — the dynamic-update maintenance path —
     and seeded construction's cleanup), and root replacement
-    covers the root-split/collapse edge. Building reads nodes through
-    the unaccounted peek path (`iter_nodes`), so a snapshot never
-    perturbs the cost model.
+    covers the root-split/collapse edge. Reading goes through the
+    unaccounted peek path (`iter_nodes`), so a snapshot never perturbs
+    the cost model.
+
+    A new snapshot is assembled from the previous one
+    (:func:`~repro.kernels.node_store.assemble`): a node whose page the
+    previous snapshot holds and whose edit tick is older than that
+    snapshot's keeps its rows; every other node is read from its
+    entries. Every edit of a node's entries takes a new tick
+    (``Node.invalidate_caches``/``patch_entry_mbr``), so the result
+    equals a fresh pack. Without a previous snapshot every node is read.
 
     ``None`` means some leaf ref (object id) does not fit the
     snapshot's int64 ref column. That answer is cached under the same
@@ -74,25 +115,47 @@ def column_tree_of(tree: Any) -> ColumnTree | None:
     """
     key = (tree.mutations, tree.root_id)
     cached = getattr(tree, "_column_tree", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    records = []
+    if cached is not None and cached.stamp == key:
+        return cached.snapshot
+    tick = next_edit_tick()
+    base = None
+    base_tick = 0
+    rows: dict[int, int] = {}
+    if cached is not None and cached.snapshot is not None:
+        base, base_tick = cached.snapshot, cached.tick
+        rows = dict(zip(base.page.tolist(), range(base.n_nodes)))
+    src: list[int] = []
+    pages: list[int] = []
+    levels: list[int] = []
+    nent: list[int] = []
+    refs: list[int] = []
+    xlo: list[float] = []
+    ylo: list[float] = []
+    xhi: list[float] = []
+    yhi: list[float] = []
     for node in tree.iter_nodes():
+        page = node.page_id
+        pages.append(page)
+        levels.append(node.level)
+        if node.tick < base_tick and page in rows:
+            src.append(rows[page])
+            continue
+        src.append(-1)
         entries = node.entries
-        records.append((
-            node.page_id,
-            node.level,
-            [e.ref for e in entries],
-            [e.mbr.xlo for e in entries],
-            [e.mbr.ylo for e in entries],
-            [e.mbr.xhi for e in entries],
-            [e.mbr.yhi for e in entries],
-        ))
+        nent.append(len(entries))
+        refs.extend([e.ref for e in entries])
+        mbrs = [e.mbr for e in entries]
+        xlo.extend([m.xlo for m in mbrs])
+        ylo.extend([m.ylo for m in mbrs])
+        xhi.extend([m.xhi for m in mbrs])
+        yhi.extend([m.yhi for m in mbrs])
     try:
-        snapshot = ColumnTree.build(records, tree.root_id, stamp=key)
+        snapshot = assemble(base, src, pages, levels,
+                            (nent, refs, xlo, ylo, xhi, yhi), stamp=key)
     except OverflowError:
         snapshot = None
-    tree._column_tree = (key, snapshot)
+    tree._column_tree = SnapshotRecord(key, snapshot, tick, len(nent),
+                                       len(pages))
     return snapshot
 
 
@@ -101,10 +164,16 @@ def carry_column_tree(tree: Any, snapshot: ColumnTree | None) -> None:
 
     For a caller that knows ``snapshot`` equals what
     :func:`column_tree_of` would build at the tree's current stamp —
+    the log-first builder, which packs its own columns, and
     construction replay, whose tree is the recorded one moved to fresh
-    pages (:func:`~repro.kernels.node_store.shift_pages`).
+    pages (:func:`~repro.kernels.node_store.shift_pages`). The carried
+    snapshot is the base the tree's next snapshot is assembled from.
     """
-    tree._column_tree = ((tree.mutations, tree.root_id), snapshot)
+    nodes = 0 if snapshot is None else snapshot.n_nodes
+    tree._column_tree = SnapshotRecord(
+        (tree.mutations, tree.root_id), snapshot, next_edit_tick(), 0,
+        nodes, carried=True,
+    )
 
 
 # --------------------------------------------------------------------- #

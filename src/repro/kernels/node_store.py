@@ -27,10 +27,12 @@ buffer — same fetch/pin/unpin sequence, same counter increments at the
 same operation positions — so the cost model cannot tell the two
 paths apart. This module itself stays pure (RPR007): it never touches
 storage, metrics, or phases; snapshots arrive as plain per-node
-records, and version-stamped invalidation lives with the caller (the
-snapshot cache keys on the owning tree's ``mutations`` stamp, which
-every mutating path — inserts, deletes, ``patch_entry_mbr``-driven
-seed updates, the dynamic maintenance lane — bumps).
+records (:meth:`ColumnTree.build`) or as a previous snapshot plus the
+rows of the nodes edited since (:func:`assemble`), and version-stamped
+invalidation lives with the caller (the snapshot cache keys on the
+owning tree's ``mutations`` stamp, which every mutating path —
+inserts, deletes, ``patch_entry_mbr``-driven seed updates, the dynamic
+maintenance lane — bumps).
 
 The plan builders are part of the default fast path; the
 ``REPRO_KERNELS=0`` scalar reference never reaches them.
@@ -49,6 +51,7 @@ __all__ = [
     "ColumnTree",
     "MatchPlan",
     "WindowPlan",
+    "assemble",
     "build_match_plans",
     "build_window_plans",
     "shift_pages",
@@ -85,14 +88,21 @@ class ColumnTree:
 
     The snapshot is immutable; staleness is the owner's problem. The
     caller caches it keyed on the source tree's ``mutations`` stamp
-    and rebuilds when the stamp moves — the version/invalidation
-    protocol documented in DESIGN.md §15.
+    and, when the stamp moves, assembles the next one from it — the
+    version/invalidation protocol documented in DESIGN.md §15.
     """
 
     __slots__ = (
         "n_nodes", "n_entries", "page", "level", "is_leaf", "nent",
         "eoff", "exlo", "eylo", "exhi", "eyhi", "eref", "echild",
         "nxlo", "nylo", "nxhi", "nyhi", "stamp", "_digest",
+    )
+
+    #: Every column, in layout order.
+    COLUMNS = (
+        "page", "level", "is_leaf", "nent", "eoff",
+        "exlo", "eylo", "exhi", "eyhi", "eref", "echild",
+        "nxlo", "nylo", "nxhi", "nyhi",
     )
 
     def __init__(self, *, page, level, is_leaf, nent, eoff,
@@ -157,6 +167,20 @@ class ColumnTree:
             for a, b in zip(self._structure(), other._structure())
         )
 
+    def differs_from(self, other: "ColumnTree") -> str | None:
+        """The first column (or ``stamp``/``digest``) in which the two
+        snapshots are not bit for bit equal, dtype included; ``None``
+        when they are equal."""
+        for name in self.COLUMNS:
+            a, b = getattr(self, name), getattr(other, name)
+            if a.dtype != b.dtype or a.tobytes() != b.tobytes():
+                return name
+        if self.stamp != other.stamp:
+            return "stamp"
+        if self.digest() != other.digest():
+            return "digest"
+        return None
+
     def _structure(self) -> tuple:
         """The columns a traversal plan is a function of: levels, CSR
         offsets, child wiring, leaf refs (object ids) and coordinates."""
@@ -219,28 +243,120 @@ class ColumnTree:
         aylo = np.array(eylo, dtype=np.float64)
         axhi = np.array(exhi, dtype=np.float64)
         ayhi = np.array(eyhi, dtype=np.float64)
-        if len(eref):
-            nonempty = nent > 0
-            starts = eoff[:-1][nonempty]
-            nxlo = np.full(len(recs), np.inf)
-            nylo = np.full(len(recs), np.inf)
-            nxhi = np.full(len(recs), -np.inf)
-            nyhi = np.full(len(recs), -np.inf)
-            nxlo[nonempty] = np.minimum.reduceat(axlo, starts)
-            nylo[nonempty] = np.minimum.reduceat(aylo, starts)
-            nxhi[nonempty] = np.maximum.reduceat(axhi, starts)
-            nyhi[nonempty] = np.maximum.reduceat(ayhi, starts)
-        else:
-            nxlo = nylo = np.full(len(recs), np.inf)
-            nxhi = nyhi = np.full(len(recs), -np.inf)
-
         return cls(
             page=page, level=level, is_leaf=(level == 0), nent=nent,
             eoff=eoff, exlo=axlo, eylo=aylo, exhi=axhi, eyhi=ayhi,
             eref=np.array(eref, dtype=np.int64),
             echild=np.array(echild, dtype=np.int64),
-            nxlo=nxlo, nylo=nylo, nxhi=nxhi, nyhi=nyhi, stamp=stamp,
+            **_node_boxes(nent, eoff, axlo, aylo, axhi, ayhi), stamp=stamp,
         )
+
+
+def _node_boxes(nent: Any, eoff: Any, exlo: Any, eylo: Any, exhi: Any,
+                eyhi: Any) -> dict:
+    """Per-node MBR columns: min/max folds over each node's entry rows;
+    an empty node gets the empty box (+inf lows, -inf highs)."""
+    n = len(nent)
+    if not len(exlo):
+        return {
+            "nxlo": np.full(n, np.inf), "nylo": np.full(n, np.inf),
+            "nxhi": np.full(n, -np.inf), "nyhi": np.full(n, -np.inf),
+        }
+    nonempty = nent > 0
+    starts = eoff[:-1][nonempty]
+    nxlo = np.full(n, np.inf)
+    nylo = np.full(n, np.inf)
+    nxhi = np.full(n, -np.inf)
+    nyhi = np.full(n, -np.inf)
+    nxlo[nonempty] = np.minimum.reduceat(exlo, starts)
+    nylo[nonempty] = np.minimum.reduceat(eylo, starts)
+    nxhi[nonempty] = np.maximum.reduceat(exhi, starts)
+    nyhi[nonempty] = np.maximum.reduceat(eyhi, starts)
+    return {"nxlo": nxlo, "nylo": nylo, "nxhi": nxhi, "nyhi": nyhi}
+
+
+def assemble(
+    base: ColumnTree | None,
+    src: Sequence[int],
+    page: Sequence[int],
+    level: Sequence[int],
+    fresh: tuple,
+    stamp: Any = 0,
+) -> ColumnTree:
+    """A snapshot that reuses ``base``'s rows for the nodes it still fits.
+
+    The nodes arrive in snapshot order (root first), as parallel
+    ``page``/``level``/``src`` sequences. ``src[i]`` is the ``base``
+    node index whose entry rows node ``i`` still holds, or ``-1`` for a
+    node read from its entries; ``fresh`` is ``(nent, refs, xlo, ylo,
+    xhi, yhi)``, the entry counts of those nodes and their entries'
+    columns, flat and in node order. With no ``base`` every ``src`` is
+    ``-1``.
+
+    Each node's rows are copied out of ``base`` or ``fresh`` in entry
+    order, and ``echild`` and the node MBRs are derived from the result
+    exactly as :meth:`ColumnTree.build` derives them, so the snapshot
+    equals a fresh pack of the same nodes column for column (dtypes and
+    digest included). ``base`` is only read: match plans and
+    construction recordings share its columns. An object id that does
+    not fit int64 raises ``OverflowError``, as ``build`` does.
+    """
+    int64 = np.int64
+    src = np.asarray(src, dtype=int64)
+    page = np.asarray(page, dtype=int64)
+    level = np.asarray(level, dtype=int64)
+    fnent, frefs, fxlo, fylo, fxhi, fyhi = fresh
+    n = len(page)
+    if n == 0:
+        raise GeometryError("cannot build a ColumnTree from no nodes")
+    reread = src < 0
+    fnent = np.asarray(fnent, dtype=int64)
+    fstart = _exclusive_cumsum(fnent)
+    nent = np.empty(n, dtype=int64)
+    start = np.empty(n, dtype=int64)
+    nent[reread] = fnent
+    if base is None:
+        old_rows = 0
+        tables = (None,) * 5
+    else:
+        kept = ~reread
+        nent[kept] = base.nent[src[kept]]
+        start[kept] = base.eoff[src[kept]]
+        old_rows = base.n_entries
+        tables = (base.eref, base.exlo, base.eylo, base.exhi, base.eyhi)
+    start[reread] = old_rows + fstart
+    eoff = np.zeros(n + 1, dtype=int64)
+    np.cumsum(nent, out=eoff[1:])
+    rows = np.repeat(start - eoff[:-1], nent) + np.arange(eoff[-1])
+
+    def gather(old: Any, new: Any, dtype: Any) -> Any:
+        new = np.array(new, dtype=dtype)
+        return (new if old is None else np.concatenate((old, new)))[rows]
+
+    eref = gather(tables[0], frefs, int64)
+    exlo = gather(tables[1], fxlo, np.float64)
+    eylo = gather(tables[2], fylo, np.float64)
+    exhi = gather(tables[3], fxhi, np.float64)
+    eyhi = gather(tables[4], fyhi, np.float64)
+
+    order = np.argsort(page, kind="stable")
+    by_page = page[order]
+    if n > 1 and (by_page[1:] == by_page[:-1]).any():
+        raise GeometryError("duplicate page id in snapshot")
+    echild = np.full(len(eref), -1, dtype=int64)
+    inner = np.repeat(level != 0, nent)
+    targets = eref[inner]
+    at = np.minimum(np.searchsorted(by_page, targets), n - 1)
+    if (by_page[at] != targets).any():
+        raise GeometryError("an internal entry names no node of the snapshot")
+    echild[inner] = order[at]
+
+    return ColumnTree(
+        page=page, level=level, is_leaf=(level == 0), nent=nent,
+        eoff=eoff, exlo=exlo, eylo=eylo, exhi=exhi, eyhi=eyhi,
+        eref=eref, echild=echild,
+        **_node_boxes(nent, eoff, exlo, eylo, exhi, eyhi), stamp=stamp,
+    )
 
 
 def shift_pages(ct: ColumnTree, start: int, delta: int,

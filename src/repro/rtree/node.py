@@ -14,12 +14,20 @@ Nodes carry three lazily built caches for the vectorized kernel layer
 (:mod:`repro.kernels`): the struct-of-arrays columns of the entry MBRs,
 the columns of the entry shadows, and the node MBR. Every code path
 that mutates ``entries`` (or an entry's ``mbr``/``shadow`` in place)
-must call :meth:`Node.invalidate_caches`; the runtime sanitizer
-cross-checks cache coherence at phase boundaries.
+must call :meth:`Node.invalidate_caches` (or, for one replaced entry
+MBR, :meth:`Node.patch_entry_mbr`); the runtime sanitizer cross-checks
+cache coherence at phase boundaries.
+
+The same two calls give the node a new *edit tick* from one
+process-wide counter (:func:`next_edit_tick`), as does creating it. A
+columnar snapshot remembers the tick it was taken at, so the next one
+re-reads only the nodes that are new or carry a later tick
+(:func:`repro.join.batch.column_tree_of`).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 from ..geometry import Rect, union_all
@@ -28,6 +36,9 @@ from ..kernels import RectArray
 #: Sentinel cached when a node has at least one shadow-less entry, so
 #: the miss itself is remembered (``None`` means "not computed yet").
 _NO_SHADOWS = object()
+
+#: A fresh edit tick, strictly above every tick handed out before.
+next_edit_tick = itertools.count(1).__next__
 
 
 class Entry:
@@ -59,11 +70,12 @@ class Node:
     """One R-tree (or seeded-tree) node, occupying one page.
 
     ``page_id`` is assigned when the node is registered with the buffer
-    pool; a value of ``-1`` marks a node not yet materialised.
+    pool; a value of ``-1`` marks a node not yet materialised. ``tick``
+    is the edit tick of the node's creation or last cache invalidation.
     """
 
     __slots__ = (
-        "page_id", "level", "entries",
+        "page_id", "level", "entries", "tick",
         "_rect_cache", "_mbr_cache", "_shadow_cache",
     )
 
@@ -72,6 +84,7 @@ class Node:
         self.level = level
         self.entries = entries if entries is not None else []
         self.page_id = page_id
+        self.tick = next_edit_tick()
         self._rect_cache: RectArray | None = None
         self._mbr_cache: Rect | None = None
         self._shadow_cache: object = None
@@ -92,6 +105,7 @@ class Node:
         self._rect_cache = None
         self._mbr_cache = None
         self._shadow_cache = None
+        self.tick = next_edit_tick()
 
     def patch_entry_mbr(self, i: int) -> None:
         """Refresh the caches after entry ``i``'s MBR was replaced.
@@ -108,6 +122,7 @@ class Node:
         else:
             self._rect_cache = None
         self._mbr_cache = None
+        self.tick = next_edit_tick()
 
     def rect_array(self) -> RectArray:
         """Struct-of-arrays columns of the entry MBRs, lazily built.
@@ -168,6 +183,7 @@ class Node:
 
     def __setstate__(self, state: tuple[int, int, list[Entry]]) -> None:
         self.page_id, self.level, self.entries = state
+        self.tick = next_edit_tick()
         self._rect_cache = None
         self._mbr_cache = None
         self._shadow_cache = None

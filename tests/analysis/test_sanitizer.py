@@ -18,6 +18,7 @@ from repro.config import SystemConfig
 from repro.errors import InvariantViolation
 from repro.geometry import Rect
 from repro.join import spatial_join
+from repro.join.batch import column_tree_of, snapshot_record
 from repro.workload import ClusteredConfig, generate_clustered
 from repro.workspace import Workspace
 
@@ -102,6 +103,43 @@ def test_detects_fanout_overflow():
     node.entries.extend(node.entries[:1] * (tree.capacity + 1))
     with pytest.raises(InvariantViolation, match="capacity"):
         Sanitizer().check_tree(tree)
+
+
+def _first_leaf(tree):
+    stack = [tree.root_id]
+    while stack:
+        node = tree._node_unaccounted(stack.pop())
+        if node.is_leaf:
+            return node
+        stack.extend(e.ref for e in node.entries)
+    raise AssertionError("tree has no leaf")
+
+
+def test_detects_stale_snapshot():
+    """An entry MBR edited in place with neither ``invalidate_caches()``
+    nor a stamp bump leaves the memoised snapshot stale; the snapshot
+    check finds it although every tree invariant still holds (the
+    leaf's two boxes trade places, so its union is unchanged)."""
+    _ws, tree = _installed_tree()
+    leaf = _first_leaf(tree)
+    a, b = leaf.entries[0], leaf.entries[1]
+    assert a.mbr != b.mbr
+    leaf.invalidate_caches()  # no warm column cache to trip first
+    column_tree_of(tree)
+    Sanitizer().check_tree(tree)
+    a.mbr, b.mbr = b.mbr, a.mbr
+    with pytest.raises(InvariantViolation, match="snapshot"):
+        Sanitizer().check_tree(tree)
+
+
+def test_assembled_snapshot_after_a_write_is_clean():
+    _ws, tree = _installed_tree()
+    column_tree_of(tree)
+    tree.insert(Rect(0.5, 0.5, 0.51, 0.51), 777_777)
+    column_tree_of(tree)
+    record = snapshot_record(tree)
+    assert record.reread < record.nodes
+    Sanitizer().check_tree(tree)
 
 
 def test_detects_leaked_pin():

@@ -1,5 +1,7 @@
 """Unit and property tests for the rectangle algebra."""
 
+import math
+
 import pytest
 from hypothesis import given
 
@@ -7,6 +9,8 @@ from repro.errors import GeometryError
 from repro.geometry import Rect, union_all
 
 from ..strategies import rects
+
+NAN = float("nan")
 
 
 class TestConstruction:
@@ -21,6 +25,24 @@ class TestConstruction:
     def test_rejects_inverted_y(self):
         with pytest.raises(GeometryError):
             Rect(0.0, 2.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("coords", [
+        (NAN, 0.0, 1.0, 1.0), (0.0, NAN, 1.0, 1.0),
+        (0.0, 0.0, NAN, 1.0), (0.0, 0.0, 1.0, NAN), (NAN, NAN, NAN, NAN),
+    ])
+    def test_rejects_nan(self, coords):
+        """A NaN passes ``xlo > xhi``; the fast and scalar paths then
+        disagree on every test against that box, so it is refused."""
+        with pytest.raises(GeometryError):
+            Rect(*coords)
+
+    def test_nan_from_internal_constructors_is_refused(self):
+        with pytest.raises(GeometryError):
+            Rect.from_center(NAN, 0.5, 0.1, 0.1)
+        with pytest.raises(GeometryError):
+            Rect.from_center(0.5, 0.5, NAN, 0.1)
+        with pytest.raises(GeometryError):
+            Rect(-math.inf, 0.0, math.inf, 0.0).center_rect()
 
     def test_from_center(self):
         r = Rect.from_center(0.5, 0.5, 0.2, 0.4)

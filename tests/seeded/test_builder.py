@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.sanitizer import Sanitizer
+from repro.analysis.sanitizer import Sanitizer, packed_snapshot
 from repro.config import SystemConfig
 from repro.geometry import Rect
 from repro.join.batch import column_tree_of
@@ -41,8 +41,6 @@ from repro.seeded import CopyStrategy, SeededTree, UpdatePolicy
 from repro.seeded.builder import build_rtree, build_seeded_tree
 from repro.storage.datafile import DataPageRecord
 from repro.workspace import Workspace
-
-from .test_replay import _assert_same_snapshot, _packed
 
 #: Fanout 4 (tall trees from few objects), fanout 6, and a 101-entry
 #: page that puts 70 artificial seeds in one node (NUMPY_MIN_N is 64).
@@ -211,7 +209,7 @@ def _check(case: dict) -> None:
     got, tree = _build(case, log_first=True)
     assert got == want
     if tree is not None:
-        _assert_same_snapshot(column_tree_of(tree), _packed(tree))
+        assert column_tree_of(tree).differs_from(packed_snapshot(tree)) is None
         Sanitizer().check_tree(tree, "log-first build")
 
 

@@ -14,12 +14,14 @@ import gc
 import numpy as np
 import pytest
 
+import repro.join.batch as join_batch
 import repro.join.stj as stj_mod
 import repro.seeded.replay as replay_mod
+from repro.analysis.sanitizer import packed_snapshot
 from repro.config import SystemConfig
 from repro.geometry import Rect
 from repro.join import spatial_join
-from repro.join.batch import column_tree_of
+from repro.join.batch import column_tree_of, snapshot_record
 from repro.join.warm_cache import warm_cache_of
 from repro.kernels.node_store import ColumnTree
 from repro.rtree.node import Node
@@ -149,40 +151,12 @@ def test_seeding_tree_mutation_invalidates(env, spies):
     assert first.pairs  # the pre-mutation run was non-vacuous
 
 
-#: Every column of a ColumnTree, in layout order.
-COLUMNS = (
-    "page", "level", "is_leaf", "nent", "eoff",
-    "exlo", "eylo", "exhi", "eyhi", "eref", "echild",
-    "nxlo", "nylo", "nxhi", "nyhi",
-)
-
-
-def _packed(tree) -> ColumnTree:
-    """The snapshot packed from the live nodes, at the tree's stamp."""
-    records = [
-        (node.page_id, node.level, [e.ref for e in node.entries],
-         [e.mbr.xlo for e in node.entries], [e.mbr.ylo for e in node.entries],
-         [e.mbr.xhi for e in node.entries], [e.mbr.yhi for e in node.entries])
-        for node in tree.iter_nodes()
-    ]
-    return ColumnTree.build(records, tree.root_id,
-                            stamp=(tree.mutations, tree.root_id))
-
-
-def _assert_same_snapshot(got: ColumnTree, want: ColumnTree) -> None:
-    assert (got.n_nodes, got.n_entries) == (want.n_nodes, want.n_entries)
-    for name in COLUMNS:
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert got.stamp == want.stamp
-    assert got.digest() == want.digest()
-
-
 def test_replayed_tree_carries_an_exact_snapshot(env, spies, monkeypatch):
     """A replayed tree is handed the recorded build's snapshot moved to
     the replay's pages instead of re-packing its nodes: column for
     column, stamp and digest, it is what packing the replayed tree
-    gives. Once the tree changes, the next snapshot is packed afresh."""
+    gives. Once the tree changes, the next snapshot is assembled from
+    the carried one, re-reading only the nodes the insert edited."""
     ws, tree_r, file_s = env
     first = _join(ws, tree_r, file_s)
     packs = []
@@ -192,24 +166,37 @@ def test_replayed_tree_carries_an_exact_snapshot(env, spies, monkeypatch):
         packs.append(args[1])
         return build(cls, *args, **kwargs)
 
+    assembled = []
+    assemble = join_batch.assemble
+
+    def counted_assemble(base, *args, **kwargs):
+        assembled.append(base)
+        return assemble(base, *args, **kwargs)
+
     monkeypatch.setattr(ColumnTree, "build", classmethod(counted))
+    monkeypatch.setattr(join_batch, "assemble", counted_assemble)
     second = _join(ws, tree_r, file_s)
     assert spies == {"record": 1, "replay": 1}
     assert packs == [], "the replayed join packed a snapshot"
 
     tree_s = second.index
+    assert snapshot_record(tree_s).carried
+    assembled.clear()
     carried = column_tree_of(tree_s)
     assert carried is not column_tree_of(first.index)
-    assert packs == []
-    _assert_same_snapshot(carried, _packed(tree_s))
+    assert packs == [] and assembled == []
+    assert carried.differs_from(packed_snapshot(tree_s)) is None
     assert not np.array_equal(carried.page, column_tree_of(first.index).page)
 
     tree_s.insert_retained(Rect(0.4, 0.4, 0.46, 0.46), 424242)
     packs.clear()
     fresh = column_tree_of(tree_s)
-    assert packs == [tree_s.root_id]
+    assert assembled == [carried], "not assembled from the carried base"
+    record = snapshot_record(tree_s)
+    assert not record.carried
+    assert 0 < record.reread < record.nodes == fresh.n_nodes
     assert fresh is not carried
-    _assert_same_snapshot(fresh, _packed(tree_s))
+    assert fresh.differs_from(packed_snapshot(tree_s)) is None
 
 
 def test_replay_costs_match_a_scalar_rerun(monkeypatch, spies):

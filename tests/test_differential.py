@@ -556,13 +556,13 @@ def test_unpackable_tree_is_packed_once_per_version(monkeypatch):
     path packs it, once per tree version: re-joins reuse the cached
     answer instead of rescanning the tree's oids."""
     builds = []
-    build = ColumnTree.build.__func__
+    assemble = join_batch.assemble
 
-    def counted(cls, *args, **kwargs):
-        builds.append(args[1])
-        return build(cls, *args, **kwargs)
+    def counted(base, src, pages, *args, **kwargs):
+        builds.append(pages[0])
+        return assemble(base, src, pages, *args, **kwargs)
 
-    monkeypatch.setattr(ColumnTree, "build", classmethod(counted))
+    monkeypatch.setattr(join_batch, "assemble", counted)
     monkeypatch.setenv("REPRO_KERNELS", "1")
     d_r, d_s = _wide_workload(2**63, 0)
     ws = Workspace(CFG)
