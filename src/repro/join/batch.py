@@ -36,6 +36,8 @@ unchanged.
 from __future__ import annotations
 
 import zlib
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -45,6 +47,7 @@ from ..kernels.node_store import (
     assemble,
     build_match_plans,
     build_window_plans,
+    lower_window_plan,
 )
 from ..metrics import MetricsCollector
 from ..rtree.node import next_edit_tick
@@ -59,6 +62,8 @@ __all__ = [
     "snapshot_record",
     "window_join_batch",
 ]
+
+_CORNERS = attrgetter("xlo", "ylo", "xhi", "yhi")
 
 
 # --------------------------------------------------------------------- #
@@ -311,54 +316,23 @@ def match_trees_batch(
 # Batched window queries (BFJ's match phase)
 # --------------------------------------------------------------------- #
 
-class _PreparedWindow:
-    """A WindowPlan flattened to the scalar replay order, plus answers.
+class _PreparedWindow(NamedTuple):
+    """A WindowPlan lowered to the scalar replay order, plus answers.
 
-    The scalar BFJ walks each query's stack depth-first (children pushed
-    in entry order, popped last-first). That order is a pure function of
-    the plan, so it is linearised once here: ``pages``/``weights`` are
-    the full accounted fetch-and-charge sequence across all queries, and
-    ``pairs`` the complete emission list in scalar order. Replay is then
-    a single :meth:`BufferPool.fetch_run`. Emissions carry no accounting
-    and a faulted join discards its partial pairs, so returning the
+    ``pages``/``weights`` are the full accounted fetch-and-charge
+    sequence across all queries, and ``pairs`` the complete emission
+    list in scalar order
+    (:func:`~repro.kernels.node_store.lower_window_plan`). Replay is
+    then a single :meth:`BufferPool.fetch_run`. Emissions carry no accounting and a
+    faulted join discards its partial pairs, so returning the
     precomputed list is observationally identical to emitting at each
-    leaf visit.
+    leaf visit. ``query`` is the packed batch the plan answers.
     """
 
-    __slots__ = ("query", "pages", "weights", "pairs")
-
-    def __init__(self, ct: ColumnTree, plan: Any, oids: list, query: bytes):
-        self.query = query
-        cs = plan.child_start.tolist()
-        ce = plan.child_end.tolist()
-        hs = plan.hit_start.tolist()
-        he = plan.hit_end.tolist()
-        hits = plan.hit_ref.tolist()
-        order: list[int] = []
-        visit_order = order.append
-        pairs: list[JoinPair] = []
-        emit = pairs.append
-        stack: list[int] = []
-        pop = stack.pop
-        for q in range(plan.n_queries):  # query q's root visit id is q
-            oid_s = oids[q]
-            stack.append(q)
-            while stack:
-                v = pop()
-                visit_order(v)
-                c0 = cs[v]
-                c1 = ce[v]
-                if c1 != c0:
-                    stack.extend(range(c0, c1))
-                else:
-                    h0 = hs[v]
-                    if he[v] != h0:
-                        for ref in hits[h0:he[v]]:
-                            emit((oid_s, ref))
-        dfs = plan.v_node[np.asarray(order, dtype=np.int64)]
-        self.pages = ct.page[dfs].tolist()
-        self.weights = ct.nent[dfs].tolist()
-        self.pairs = pairs
+    query: bytes
+    pages: list
+    weights: list
+    pairs: list
 
 
 def window_join_batch(rows: list, tree_r: Any) -> list[JoinPair] | None:
@@ -377,25 +351,15 @@ def window_join_batch(rows: list, tree_r: Any) -> list[JoinPair] | None:
     if ct is None:
         return None
     nq = len(rows)
-    qxlo = np.empty(nq)
-    qylo = np.empty(nq)
-    qxhi = np.empty(nq)
-    qyhi = np.empty(nq)
-    oids = []
-    add_oid = oids.append
-    for i, (rect, oid_s) in enumerate(rows):
-        qxlo[i] = rect.xlo
-        qylo[i] = rect.ylo
-        qxhi[i] = rect.xhi
-        qyhi[i] = rect.yhi
-        add_oid(oid_s)
     try:
-        packed_oids = np.asarray(oids, dtype=np.int64)
+        oids = np.fromiter(map(itemgetter(1), rows), np.int64, nq)
     except OverflowError:
         return None
-    query = b"".join(
-        column.tobytes() for column in (packed_oids, qxlo, qylo, qxhi, qyhi)
+    corners = np.fromiter(
+        chain.from_iterable(map(_CORNERS, map(itemgetter(0), rows))),
+        np.float64, 4 * nq,
     )
+    query = oids.tobytes() + corners.tobytes()
     cache = warm_cache_of(tree_r)
     key = (nq, zlib.crc32(query))
     prep = cache.lookup("window", key)
@@ -403,8 +367,12 @@ def window_join_batch(rows: list, tree_r: Any) -> list[JoinPair] | None:
         cache.note("window", "hits")
     else:
         cache.note("window", "misses")
-        plan = build_window_plans(ct, qxlo, qylo, qxhi, qyhi)
-        prep = _PreparedWindow(ct, plan, oids, query)
+        columns = corners.reshape(nq, 4).T.copy()   # xlo, ylo, xhi, yhi
+        program = lower_window_plan(ct, build_window_plans(ct, *columns))
+        pairs = list(zip(oids[program.pair_query].tolist(),
+                         program.pair_ref.tolist()))
+        prep = _PreparedWindow(query, program.pages.tolist(),
+                               program.weights.tolist(), pairs)
         cache.store("window", key, prep)
 
     metrics = tree_r.metrics

@@ -41,7 +41,7 @@ The plan builders are part of the default fast path; the
 from __future__ import annotations
 
 import zlib
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,11 +51,14 @@ __all__ = [
     "ColumnTree",
     "MatchPlan",
     "WindowPlan",
+    "WindowProgram",
     "assemble",
     "build_match_plans",
     "build_window_plans",
+    "lower_window_plan",
     "shift_pages",
     "sweep_pairs_segmented",
+    "window_replay_order",
 ]
 
 
@@ -545,16 +548,19 @@ class WindowPlan:
     ``child_start[v]:child_end[v]`` in entry order (the scalar stack
     pushes them in that order and pops them reversed), and a leaf
     visit's surviving object ids are ``hit_ref[hit_start[v]:
-    hit_end[v]]``, also in entry order.
+    hit_end[v]]``, also in entry order. Visit ids are contiguous per
+    depth: depth ``d`` holds ``level_start[d]:level_start[d + 1]``, and
+    the children of depth ``d``'s visits fill depth ``d + 1`` in their
+    parents' order.
     """
 
     __slots__ = (
         "n_queries", "v_node", "v_query", "child_start", "child_end",
-        "hit_start", "hit_end", "hit_ref",
+        "hit_start", "hit_end", "hit_ref", "level_start",
     )
 
     def __init__(self, n_queries, v_node, v_query, child_start, child_end,
-                 hit_start, hit_end, hit_ref):
+                 hit_start, hit_end, hit_ref, level_start):
         self.n_queries = n_queries
         self.v_node = v_node
         self.v_query = v_query
@@ -563,6 +569,7 @@ class WindowPlan:
         self.hit_start = hit_start
         self.hit_end = hit_end
         self.hit_ref = hit_ref
+        self.level_start = level_start
 
 
 def build_window_plans(
@@ -585,6 +592,7 @@ def build_window_plans(
     he_parts: list[Any] = []
     hit_parts: list[Any] = []
 
+    level_start = [0]
     frontier_node = v_node_parts[0]
     frontier_query = v_query_parts[0]
     visit_base = 0
@@ -592,6 +600,7 @@ def build_window_plans(
     while True:
         nf = len(frontier_node)
         next_base = visit_base + nf
+        level_start.append(next_base)
         reps = ct.nent[frontier_node]
         total = int(reps.sum())
         if total == 0:
@@ -605,12 +614,13 @@ def build_window_plans(
         ent = np.repeat(ct.eoff[:-1][frontier_node], reps) \
             + _segment_offsets(reps)
         parent = np.repeat(np.arange(nf, dtype=int64), reps)
-        q = frontier_query[parent]
         mask = (
-            (ct.exlo[ent] <= qxhi[q]) & (qxlo[q] <= ct.exhi[ent])
-            & (ct.eylo[ent] <= qyhi[q]) & (qylo[q] <= ct.eyhi[ent])
+            (ct.exlo[ent] <= np.repeat(qxhi[frontier_query], reps))
+            & (np.repeat(qxlo[frontier_query], reps) <= ct.exhi[ent])
+            & (ct.eylo[ent] <= np.repeat(qyhi[frontier_query], reps))
+            & (np.repeat(qylo[frontier_query], reps) <= ct.eyhi[ent])
         )
-        leafp = ct.is_leaf[frontier_node][parent]
+        leafp = np.repeat(ct.is_leaf[frontier_node], reps)
 
         hit_sel = mask & leafp
         hit_counts = np.bincount(parent[hit_sel], minlength=nf)
@@ -631,7 +641,7 @@ def build_window_plans(
         if len(child_ent) == 0:
             break
         frontier_node = ct.echild[child_ent]
-        frontier_query = q[child_sel]
+        frontier_query = frontier_query[parent[child_sel]]
         v_node_parts.append(frontier_node)
         v_query_parts.append(frontier_query)
         visit_base = next_base
@@ -648,6 +658,83 @@ def build_window_plans(
         np.empty(0, dtype=int64),
         hit_ref=np.concatenate(hit_parts) if hit_parts else
         np.empty(0, dtype=int64),
+        level_start=np.asarray(level_start, dtype=int64),
+    )
+
+
+class WindowProgram(NamedTuple):
+    """A :class:`WindowPlan` lowered to the scalar traversal's order.
+
+    ``pages`` and ``weights`` are the accounted node reads of the scalar
+    BFJ loop, query after query, each with the bbox tests it charges
+    (the node's entry count). Pair ``k`` is query ``pair_query[k]``
+    meeting object ``pair_ref[k]``, in the scalar emission order.
+    """
+
+    pages: np.ndarray
+    weights: np.ndarray
+    pair_query: np.ndarray
+    pair_ref: np.ndarray
+
+
+def window_replay_order(plan: WindowPlan) -> Any:
+    """The plan's visit ids in the order the scalar stacks visit them.
+
+    Each query's scalar stack pushes a node's surviving children in
+    entry order and pops the last one first, so its visits are a
+    preorder in which siblings come last-first. Positions therefore
+    follow from subtree sizes alone. A subtree's size is one plus its
+    children's sizes; depth by depth from the bottom, the children of
+    one depth's visits are one contiguous run of the next depth, so a
+    single ``cumsum`` of that depth's sizes answers every child-range
+    sum. Query ``q``'s root visit sits after every earlier query's
+    visits, at the exclusive ``cumsum`` of the root subtree sizes. A
+    child sits right after its parent and after the subtrees of its
+    later siblings, which the stack pops first.
+    """
+    ls = plan.level_start.tolist()
+    n = ls[-1]
+    cs, ce = plan.child_start, plan.child_end
+    size = np.ones(n, dtype=np.int64)
+    runs: list[Any] = []    # per depth d >= 1: 0, then the sizes' cumsum
+    for d in range(len(ls) - 2, 0, -1):
+        a, b, c = ls[d - 1], ls[d], ls[d + 1]
+        run = np.zeros(c - b + 1, dtype=np.int64)
+        np.cumsum(size[b:c], out=run[1:])
+        size[a:b] += run[ce[a:b] - b] - run[cs[a:b] - b]
+        runs.append(run)
+    runs.reverse()
+    pos = np.empty(n, dtype=np.int64)
+    pos[:ls[1]] = _exclusive_cumsum(size[:ls[1]])
+    for d in range(1, len(ls) - 1):
+        a, b, c = ls[d - 1], ls[d], ls[d + 1]
+        run = runs[d - 1]
+        parent = np.repeat(np.arange(a, b), ce[a:b] - cs[a:b])
+        later = run[ce[parent] - b] - run[1:]
+        pos[b:c] = pos[parent] + 1 + later
+    order = np.empty(n, dtype=np.int64)
+    order[pos] = np.arange(n, dtype=np.int64)
+    return order
+
+
+def lower_window_plan(ct: ColumnTree, plan: WindowPlan) -> WindowProgram:
+    """The accounted fetch sequence and the pairs of ``plan``, in order.
+
+    Gathers over :func:`window_replay_order`: the visited nodes' pages
+    and entry counts, then every visit's hits in entry order. Only leaf
+    visits hold hits, and a query's pairs come out in its visit order,
+    which is the scalar emission order.
+    """
+    order = window_replay_order(plan)
+    nodes = plan.v_node[order]
+    h0 = plan.hit_start[order]
+    hits = plan.hit_end[order] - h0
+    ent = np.repeat(h0, hits) + _segment_offsets(hits)
+    return WindowProgram(
+        pages=ct.page[nodes],
+        weights=ct.nent[nodes],
+        pair_query=np.repeat(plan.v_query[order], hits),
+        pair_ref=plan.hit_ref[ent],
     )
 
 

@@ -40,9 +40,9 @@ it is freed by reference counting when the build returns, except what
 STJ keeps as its warm recording.
 
 Where it runs: wherever construction replay may
-(:func:`~repro.seeded.replay.log_first`). Recovery, fault injection,
-deadlines, tracing, the sanitizer and ``REPRO_KERNELS=0`` keep the
-per-object build, which stays the oracle.
+(:func:`~repro.seeded.replay.log_first`), sanitized joins included.
+Recovery, fault injection, deadlines, tracing and ``REPRO_KERNELS=0``
+keep the per-object build, which stays the oracle.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ MAP = Rect(0.0, 0.0, 1.0, 1.0)
 #: Rectangles refined together by one step loop of
 #: :func:`decompose_batch`: enough to amortise numpy dispatch, few enough
 #: to keep the working set small.
-BATCH_BLOCK = 1024
+BATCH_BLOCK = 4096
 
 _CORNERS = attrgetter("xlo", "ylo", "xhi", "yhi")
 
@@ -306,17 +306,72 @@ def decompose_batch(
                   np.concatenate(zhis), n, coords)
 
 
+def _chain_ends(
+    xlo: Any, ylo: Any, xhi: Any, yhi: Any, map_area: Rect,
+) -> tuple[Any, Any, Any]:
+    """``(x, y, depth)`` of the deepest cell of each single-child chain.
+
+    While a rectangle's ``partial`` queue is the one cell it met and
+    exactly one child of that cell meets the rectangle, the scalar loop
+    just swaps the cell for that child: the split fits any budget (one
+    cell out, one in) and the child is never inside the rectangle. This
+    finds where those swaps end, by bisection, at most
+    :data:`RESOLUTION` steps for the whole block.
+
+    Along one axis, a cell that meets the closed interval ``[lo, hi]``
+    has both halves meeting it exactly when their shared midline ``m``
+    lies in ``[lo, hi]``; otherwise only the half away from ``m`` does
+    (``m < lo``: the upper half, ``m > hi``: the lower half). The
+    midline is the one float both halves' rectangles use,
+    ``map.xlo + (x + half) * scale_x`` in ``_Cell.rect``, so the test is
+    exact on any map. With ``m`` outside on both axes exactly one child
+    meets the rectangle, and its edge on the midline lies outside the
+    rectangle, so it is not inside. The root cell's rectangle can miss a
+    clipped rectangle on a map whose extents round; such a rectangle
+    starts at the root.
+    """
+    n = len(xlo)
+    mx, my = map_area.xlo, map_area.ylo
+    scale_x = map_area.width / (1 << RESOLUTION)
+    scale_y = map_area.height / (1 << RESOLUTION)
+    root = _Cell(0, 0, 0).rect(map_area)
+    x = np.zeros(n, dtype=np.int64)
+    y = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    live = np.flatnonzero((root.xlo <= xhi) & (xlo <= root.xhi)
+                          & (root.ylo <= yhi) & (ylo <= root.yhi))
+    for d in range(RESOLUTION):
+        half = 1 << (RESOLUTION - 1 - d)
+        lx = x[live]
+        ly = y[live]
+        midx = mx + (lx + half) * scale_x
+        midy = my + (ly + half) * scale_y
+        right = midx < xlo[live]
+        up = midy < ylo[live]
+        one = (right | (midx > xhi[live])) & (up | (midy > yhi[live]))
+        live = live[one]
+        if not live.size:
+            break
+        x[live] = lx[one] + half * right[one]
+        y[live] = ly[one] + half * up[one]
+        depth[live] = d + 1
+    return x, y, depth
+
+
 def _refine_block(
     xlo: Any, ylo: Any, xhi: Any, yhi: Any, max_elements: int, map_area: Rect,
 ) -> tuple[Any, Any, Any, Any]:
     """:func:`decompose`'s refinement for a block of clipped rectangles.
 
     Returns ``(owner, x, y, depth)`` of every final cell, unsorted, with
-    ``owner`` indexing the block. One pass of the loop is one pass of
-    the scalar ``while`` loop for every rectangle still refining. Each
-    rectangle's ``partial`` queue is a linked list over shared cell
-    columns (``head``/``tail``/``nxt``); ``alive`` marks the cells not
-    yet split, which are the partial cells left when refinement stops.
+    ``owner`` indexing the block. A rectangle's queue starts at the end
+    of its single-child chain (:func:`_chain_ends`), which is where the
+    scalar loop stands once it has made those splits. From there, one
+    pass of the loop is one pass of the scalar ``while`` loop for every
+    rectangle still refining. Each rectangle's ``partial`` queue is a
+    linked list over shared cell columns (``head``/``tail``/``nxt``);
+    ``alive`` marks the cells not yet split, which are the partial cells
+    left when refinement stops.
     """
     n = len(xlo)
     mx, my = map_area.xlo, map_area.ylo
@@ -340,6 +395,8 @@ def _refine_block(
     nxt = np.full(cap, -1, dtype=np.int64)
     alive = np.zeros(cap, dtype=bool)
     qown[:used] = act
+    qx[:used], qy[:used], qd[:used] = _chain_ends(
+        xlo[act], ylo[act], xhi[act], yhi[act], map_area)
     alive[:used] = True
     head = np.full(n, -1, dtype=np.int64)
     head[act] = np.arange(used)

@@ -10,8 +10,9 @@ dirty bits), the disk's allocation and arm, every page image the build
 left behind (levels, refs, bit-exact MBR floats, ``touched`` flags, list
 pages), every field of the finished tree, and the pairs and costs of a
 match that follows. The builder's tree also carries a snapshot equal to
-a fresh pack, and passes the sanitizer's tree checks, which the
-sanitized CI leg never reaches (the sanitizer stands the builder down).
+a fresh pack, and passes the sanitizer's tree checks (sanitized joins
+build log-first too; this checks every drawn input, not just the
+differential suite's workloads).
 
 Inputs favour the corners where a rewrite goes wrong: duplicate boxes,
 points, touching edges, ±0.0, and coordinates near the float limit whose

@@ -125,12 +125,28 @@ def test_batch_kill_switch_stands_down(env, spies, monkeypatch):
     assert not any(cache.stats("construct").values())
 
 
-def test_sanitizer_stands_down(env, spies, monkeypatch):
+def test_sanitized_joins_record_then_replay(env, spies, monkeypatch):
+    """The sanitizer checks only at phase boundaries, so it leaves the
+    path alone: a sanitized pair of joins records, then replays, with
+    the pairs and costs of an unsanitized pair in a twin workspace."""
     ws, tree_r, file_s = env
+    d_r, d_s = _workload()
+    twin = Workspace(CFG)
+    twin_r = twin.install_rtree(d_r)
+    twin_s = twin.install_datafile(d_s)
+    monkeypatch.setenv("REPRO_SANITIZE", "0")
+    plain = []
+    for _ in range(2):
+        plain.append((_join(twin, twin_r, twin_s).pairs,
+                      twin.metrics.summary()))
+    assert spies == {"record": 1, "replay": 1}
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    _join(ws, tree_r, file_s)
-    _join(ws, tree_r, file_s)
-    assert spies == {"record": 0, "replay": 0}
+    for pairs, summary in plain:
+        assert _join(ws, tree_r, file_s).pairs == pairs
+        for field in SUMMARY_FIELDS:
+            assert (getattr(ws.metrics.summary(), field)
+                    == getattr(summary, field)), field
+    assert spies == {"record": 2, "replay": 2}
 
 
 def test_seeding_tree_mutation_invalidates(env, spies):

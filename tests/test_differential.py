@@ -156,9 +156,8 @@ ZJOIN_FAST = (BATCH_DECOMPOSE, zjoin.batch_merge)
 ZJOIN_SCALAR = (zcurve.decompose, zjoin.stack_merge)
 
 #: Construction on each path: a fast leg of these methods builds its
-#: trees log-first (unless the sanitizer stands the builder down) and
-#: never runs the per-object loop's entry points; a scalar leg never
-#: calls the builder.
+#: trees log-first, sanitized or not, and never runs the per-object
+#: loop's entry points; a scalar leg never calls the builder.
 LOG_FIRST_METHODS = ("RTJ", "STJ", "2STJ")
 BUILDERS = (builder.build_seeded_tree, builder.build_rtree)
 PER_OBJECT = ((SeededTree, "grow_from"), (RTree, "insert"))
@@ -233,9 +232,7 @@ def _fast_and_scalar(method: str, run, monkeypatch, count_calls):
         monkeypatch.setenv("REPRO_KERNELS", kernels)
         legs.append(run(calls.clear))
         fast = kernels == "1"
-        # Read after the leg: a leg may arm the sanitizer for itself.
-        log_first = (fast and not sanitizer_enabled()
-                     and method in LOG_FIRST_METHODS)
+        log_first = fast and method in LOG_FIRST_METHODS
         ran_builder = any(calls[fn.__name__] for fn in BUILDERS)
         assert ran_builder == log_first, (
             f"REPRO_KERNELS={kernels}: {method} made calls {dict(calls)}"
@@ -399,16 +396,14 @@ def test_resident_rotation_hits_every_cache(monkeypatch, count_calls):
         method = ROTATION[i % len(ROTATION)]
         _assert_legs_agree(fast, scalar, f"round {i // 4} {method}: ")
 
-    # (match plans built, window plans built, recordings, replays). The
-    # sanitizer stands construction replay down, never the plan cache.
-    replay = int(not sanitizer_enabled())
-    cold, warm = (3, 1, 2 * replay, 0), (0, 0, 0, 2 * replay)
+    # (match plans built, window plans built, recordings, replays), the
+    # same whether or not the sanitizer is armed.
+    cold, warm = (3, 1, 2, 0), (0, 0, 0, 2)
     assert work["1"][:6] == [cold, warm, warm, warm, cold, warm]
-    assert work["1"][6] == (4 + 2 * replay, {
+    assert work["1"][6] == (6, {
         "match": {"hits": 0, "rebinds": 12, "misses": 6, "evictions": 0},
         "window": {"hits": 4, "rebinds": 0, "misses": 2, "evictions": 0},
-        "construct": {"hits": 8 * replay, "rebinds": 0,
-                      "misses": 4 * replay, "evictions": 0},
+        "construct": {"hits": 8, "rebinds": 0, "misses": 4, "evictions": 0},
     })
     # The scalar reference never reads or fills the cache.
     assert work["0"][:6] == [(0, 0, 0, 0)] * 6
@@ -458,11 +453,16 @@ def test_plan_reuse_survives_key_collisions(method, monkeypatch,
         _assert_legs_agree(fast, scalar, f"join {i}: ")
 
 
-@pytest.mark.parametrize("method", ("STJ", "BFJ"))
+#: The sanitized legs cover every method that builds log-first, and BFJ.
+SANITIZED_METHODS = ("STJ", "BFJ", "RTJ", "2STJ")
+
+
+@pytest.mark.parametrize("method", SANITIZED_METHODS)
 def test_kernels_bit_identical_under_sanitizer(method, monkeypatch,
                                                count_calls):
-    """Both paths under the sanitizer agree — and its cache-coherence
-    sweep stays silent on the fast path's caches."""
+    """Both paths under the sanitizer agree — and its checks stay silent
+    on the fast path's caches and on the trees the builder hands over
+    with their snapshots."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     d_r, d_s = _kernel_workload(0)
     fast, scalar = _fast_and_scalar(
@@ -472,12 +472,12 @@ def test_kernels_bit_identical_under_sanitizer(method, monkeypatch,
     _assert_legs_agree(fast, scalar)
 
 
-@pytest.mark.parametrize("method", ("STJ", "BFJ"))
+@pytest.mark.parametrize("method", SANITIZED_METHODS)
 def test_batch_bit_identical_under_sanitizer(method, monkeypatch,
                                              count_calls):
-    """The sanitized fast path still matches the plain scalar run (the
-    replay cache stands down under the sanitizer; the traversal caches
-    must stay coherent under its peeks)."""
+    """The sanitized fast path, log-first builder included, still
+    matches the plain scalar run; the traversal caches must stay
+    coherent under the sanitizer's peeks."""
     d_r, d_s = _kernel_workload(0)
     sanitize = iter(("1", "0"))
 

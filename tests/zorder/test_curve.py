@@ -1,5 +1,6 @@
 """Tests for the Z curve and quadtree decomposition."""
 
+import math
 from unittest import mock
 
 import pytest
@@ -172,18 +173,105 @@ def test_touching_rects_share_an_element_overlap(x, y, w, h):
 # Batch decomposition parity
 # --------------------------------------------------------------------- #
 
-#: Map areas for the parity test: the unit square, and two others whose
-#: grid units are not powers of two of the unit.
-PARITY_MAPS = (MAP, Rect(-3.0, 2.0, 5.0, 2.5), Rect(0, 0, 1000, 1000))
+#: Map areas for the parity test: the unit square, two others whose
+#: grid units are exact binary fractions, and one whose extents are not,
+#: so that cell edges and midlines round; its root cell's top edge
+#: rounds to just below the map's.
+PARITY_MAPS = (MAP, Rect(-3.0, 2.0, 5.0, 2.5), Rect(0, 0, 1000, 1000),
+               Rect(0.1, 0.2, 0.7, 0.9))
+
+#: Signed zeros, subnormals and the smallest normal, as offsets.
+TINY = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+        -2.2250738585072014e-308)
+
+#: Coordinates far outside every map, which the map clips.
+FAR = (-math.inf, -1e308, 1e308, math.inf)
+
+
+def _cell_edge(tick: float, origin: float, extent: float) -> float:
+    """Grid position ``tick`` with ``_Cell.rect``'s float expression."""
+    return origin + tick * (extent / (1 << RESOLUTION))
+
+
+@st.composite
+def _deep_rect(draw, map_area: Rect) -> Rect:
+    """A point or a one-grid-unit box at a half-unit position anywhere
+    on the 2^16 grid or just past its edges. Inside the map the one-unit
+    dilation ends chains by depth 14; at a corner, where the map clips
+    the dilated box to under two units, chains run to depth 16."""
+    half_ticks = st.one_of(st.integers(-4, 2**17 + 4), st.integers(-4, 4),
+                           st.integers(2**17 - 4, 2**17 + 4))
+    tx, ty = draw(half_ticks) / 2, draw(half_ticks) / 2
+    w, h = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    return Rect(_cell_edge(tx, map_area.xlo, map_area.width),
+                _cell_edge(ty, map_area.ylo, map_area.height),
+                _cell_edge(tx + w, map_area.xlo, map_area.width),
+                _cell_edge(ty + h, map_area.ylo, map_area.height))
+
+
+@st.composite
+def _midline_rect(draw, map_area: Rect) -> Rect:
+    """A box with one edge on a midline of a cell of depth 0 to 15, on
+    either axis, or one grid unit off it (where the dilated edge lands
+    on the midline)."""
+    depth = draw(st.integers(0, RESOLUTION - 1))
+    half = 1 << (RESOLUTION - 1 - depth)
+    mid = (2 * draw(st.integers(0, (1 << depth) - 1)) + 1) * half
+    mid += draw(st.sampled_from((-1, 0, 1)))
+    length = draw(st.integers(0, 1 << RESOLUTION))
+    edge = (mid, mid + length) if draw(st.booleans()) else (mid - length, mid)
+    ticks = st.integers(-8, (1 << RESOLUTION) + 8)
+    cross = tuple(sorted((draw(ticks), draw(ticks))))
+    (xlo, xhi), (ylo, yhi) = ((edge, cross) if draw(st.booleans())
+                              else (cross, edge))
+    return Rect(_cell_edge(xlo, map_area.xlo, map_area.width),
+                _cell_edge(ylo, map_area.ylo, map_area.height),
+                _cell_edge(xhi, map_area.xlo, map_area.width),
+                _cell_edge(yhi, map_area.ylo, map_area.height))
+
+
+@st.composite
+def _odd_float_rect(draw, map_area: Rect) -> Rect:
+    """Corners at signed zeros and subnormals (alone or added to the
+    map's origin), at +-1e308 and +-inf, or one grid unit past a map
+    edge (dilated onto it), mixed with grid positions."""
+    def coordinate(lo: float, hi: float) -> float:
+        unit = (hi - lo) / (1 << RESOLUTION)
+        pick = draw(st.sampled_from(("tiny", "far", "past", "grid")))
+        if pick == "tiny":
+            tiny = draw(st.sampled_from(TINY))
+            return tiny if draw(st.booleans()) else lo + tiny
+        if pick == "far":
+            return draw(st.sampled_from(FAR))
+        if pick == "past":
+            return draw(st.sampled_from((lo - unit, hi + unit)))
+        return _cell_edge(draw(st.integers(-8, (1 << RESOLUTION) + 8)),
+                          lo, hi - lo)
+
+    xlo, xhi = sorted(coordinate(map_area.xlo, map_area.xhi)
+                      for _ in range(2))
+    ylo, yhi = sorted(coordinate(map_area.ylo, map_area.yhi)
+                      for _ in range(2))
+    return Rect(xlo, ylo, xhi, yhi)
 
 
 @st.composite
 def parity_rects(draw, map_area: Rect):
     """Rectangles that stress the cell tests: corners on a 1/64 grid of
     the map (edges land on cell edges, where closed tests decide which
-    children survive) or on the curve's own 1/65536 grid, points, and
-    rectangles partly or wholly outside the map or covering all of it."""
-    kind = draw(st.sampled_from(("grid", "point", "whole", "outside")))
+    children survive) or on the curve's own 1/65536 grid, points,
+    rectangles partly or wholly outside the map or covering all of it,
+    and rectangles that end a single-child chain at every depth
+    (:func:`_deep_rect`, :func:`_midline_rect`) or carry odd floats
+    (:func:`_odd_float_rect`)."""
+    kind = draw(st.sampled_from(("grid", "point", "whole", "outside",
+                                 "deep", "midline", "odd")))
+    if kind == "deep":
+        return draw(_deep_rect(map_area))
+    if kind == "midline":
+        return draw(_midline_rect(map_area))
+    if kind == "odd":
+        return draw(_odd_float_rect(map_area))
     if kind == "whole":
         grow = draw(st.sampled_from((0.0, 0.5)))
         return Rect(map_area.xlo - grow * map_area.width,
@@ -225,6 +313,24 @@ def test_decompose_batch_equals_scalar(data):
         batch = decompose_batch(rects, budget, map_area)
     assert batch.size == len(rects)
     assert batch.lists() == [decompose(r, budget, map_area) for r in rects]
+
+
+def test_decompose_batch_between_root_cell_and_map_edge():
+    """On a map whose root cell's top edge rounds below the map's, a
+    point dilated onto the map's top edge meets the map but not the
+    root cell. The scalar loop splits the root, keeps no child and
+    returns no element. The batch must not start it at the end of a
+    chain of cells that do not meet it either: placed half a unit past
+    the right edge, that chain runs to depth 16, where a cell is kept."""
+    map_area = PARITY_MAPS[-1]
+    root = _Cell(0, 0, 0).rect(map_area)
+    x = map_area.xhi + map_area.width / (1 << RESOLUTION) / 2
+    unit = map_area.height / (1 << RESOLUTION)
+    y = map_area.yhi + unit
+    assert root.yhi < y - unit <= map_area.yhi
+    rect = Rect(x, y, x, y)
+    assert decompose(rect, 4, map_area) == []
+    assert decompose_batch([rect], 4, map_area).lists() == [[]]
 
 
 def test_decompose_batch_of_nothing():
