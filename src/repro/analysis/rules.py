@@ -252,7 +252,9 @@ class DirectDiskAccess(Rule):
 
     ``disk.read`` / ``disk.write`` / ``disk.install`` bypass the
     buffer's hit/miss accounting, so counters stop matching what a real
-    buffer manager would report. Outside ``repro/storage/`` these calls
+    buffer manager would report. ``disk.free`` drops an image while a
+    frame may still hold the page; ``BufferPool.free`` drops both.
+    Outside ``repro/storage/`` these calls
     are flagged. The *batch* protocol (``read_run`` / ``write_run``)
     stays legal everywhere: it is the paper's explicit sequential-I/O
     channel and reports to the metrics collector itself, as do the
@@ -263,7 +265,7 @@ class DirectDiskAccess(Rule):
     code = "RPR001"
     title = "direct disk access outside storage/"
 
-    _FLAGGED = ("read", "write", "install")
+    _FLAGGED = ("read", "write", "install", "free")
 
     def applies(self) -> bool:
         return not self.ctx.is_test and not self.ctx.in_repro_package(
@@ -281,7 +283,8 @@ class DirectDiskAccess(Rule):
                 node,
                 f"direct disk.{func.attr}() bypasses the buffer pool; "
                 f"route page I/O through BufferPool so hit/miss "
-                f"accounting stays truthful",
+                f"accounting stays truthful and no frame outlives its "
+                f"page",
             )
         self.generic_visit(node)
 

@@ -27,7 +27,11 @@ pipeline phase boundary:
   (:func:`repro.join.batch.column_tree_of`), when it is at the tree's
   current version stamp, must equal a fresh pack of the live nodes
   (:func:`packed_snapshot`) bit for bit. That covers snapshots carried
-  from a build or a replay and snapshots assembled from a previous one.
+  from a build or a replay and snapshots assembled from a previous one;
+* **page lifetime** — once a join has freed its scratch
+  (:mod:`repro.join.lifetime`), every page reachable from ``T_R`` and
+  from the result's index is still stored, and no buffer frame holds a
+  freed page.
 
 Everything is observed through unaccounted paths (``peek``-backed node
 access, direct counter reads), so a sanitized run's
@@ -43,7 +47,7 @@ import dataclasses
 import os
 from typing import Any
 
-from ..errors import InvariantViolation
+from ..errors import InvariantViolation, TreeError
 from ..kernels import RectArray
 from ..kernels.node_store import ColumnTree
 from ..metrics.collector import CollectorSnapshot, MetricsCollector
@@ -140,6 +144,41 @@ class Sanitizer:
         for candidate in (ctx.state.get("index"), ctx.tree_r):
             if _is_tree(candidate):
                 self.check_tree(candidate, where=where)
+
+    def check_freed(self, buffer: Any, structures: Any,
+                    where: str = "after the join freed its pages") -> None:
+        """Freeing kept every live page and left no frame behind."""
+        disk = buffer.disk
+        for _key, page_id, _pins, _dirty in buffer.audit_frames():
+            if disk.is_freed(page_id):
+                raise InvariantViolation(
+                    f"a buffer frame still holds freed page {page_id} "
+                    f"({where})"
+                )
+        for structure in structures:
+            name = getattr(structure, "name", structure)
+            if _is_tree(structure):
+                if structure.root_id == -1:
+                    continue
+                try:
+                    # Peeks the buffer, then the disk, for every node.
+                    for _node in structure.iter_nodes():
+                        pass
+                except TreeError as exc:
+                    raise InvariantViolation(
+                        f"live structure {name!r} lost a page: {exc} "
+                        f"({where})"
+                    ) from None
+            elif hasattr(structure, "first_page_id") and hasattr(
+                structure, "num_pages"
+            ):
+                first = structure.first_page_id
+                for page_id in range(first, first + structure.num_pages):
+                    if not disk.exists(page_id):
+                        raise InvariantViolation(
+                            f"live structure {name!r} lost page "
+                            f"{page_id} ({where})"
+                        )
 
     # ----------------------------------------------------------------- #
     # Counter monotonicity

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Callable
 
 from ..errors import SeedingError
+from ..join.lifetime import free_scratch
 from ..rtree import RTree
 from ..rtree.node import Entry
 from ..seeded import SeededTree
@@ -89,7 +90,7 @@ class StalenessThreshold(ReseedPolicy):
 
 
 def _drain_tree(tree: SeededTree) -> list[tuple]:
-    """Read every object out of a tree (accounted) and drop its pages."""
+    """Read every object out of a tree (accounted) and free its pages."""
     entries: list[Entry] = []
     tree._flatten_subtree(tree.root_id, entries)
     return [(e.mbr, e.ref) for e in entries]
@@ -125,15 +126,19 @@ def rebuild_seeded(
     seed_levels: int | None = None,
 ) -> SeededTree:
     """Full rebuild: drain the old tree, re-seed, re-grow. Accounted
-    under the maintenance phase. The old tree's pages are dropped from
-    the buffer without write-back; the simulated disk never frees a
-    page, so their images stay on disk."""
+    under the maintenance phase. The drain frees the old tree's pages,
+    frames without write-back and images alike, and the rebuild then
+    frees what its construction allocated and the successor does not
+    hold (pruned seed nodes, linked-list batches), as a join does; so a
+    resident tree rebuilt again and again does not grow the disk."""
+    start = old.buffer.disk.allocated_pages
     with workspace.maintenance_phase():
         data = _drain_tree(old)
         tree = _make_successor(old, partner, seed_levels)
         tree.seed(partner)
         tree.grow_from(data)
         tree.cleanup()
+    free_scratch(tree.buffer, start, tree)
     return tree
 
 

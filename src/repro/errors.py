@@ -26,7 +26,8 @@ class StorageError(ReproError):
 
 
 class PageNotFoundError(StorageError):
-    """A page id was read that was never written to the simulated disk."""
+    """A page id was read that was never written to the simulated disk,
+    or whose page was freed."""
 
 
 class TransientIOError(StorageError):

@@ -47,7 +47,8 @@ def _match(ctx: ExecutionContext) -> None:
         # repro.join.batch). Oids beyond int64 leave the batch path
         # nothing to plan with, and the scalar loop answers instead.
         rows = list(ctx.data_s.scan())
-        pairs = window_join_batch(rows, ctx.tree_r)
+        source = ctx.data_s if isinstance(ctx.data_s, DataFile) else None
+        pairs = window_join_batch(rows, ctx.tree_r, source)
         if pairs is None:
             pairs = _window_queries(rows, ctx.tree_r)
         ctx.state["pairs"] = pairs

@@ -15,7 +15,10 @@ engine that owns everything the drivers used to re-implement by hand:
   :class:`~repro.storage.RecoveryPolicy`;
 * structured tracing (:mod:`repro.metrics.tracing`): one root span per
   join, one child span per phase, attached to the returned
-  :class:`~repro.join.result.JoinResult`.
+  :class:`~repro.join.result.JoinResult`;
+* page lifetime (:mod:`repro.join.lifetime`): the join owns every page
+  it allocates, frees its scratch when it ends, and leaves the index's
+  pages to a finalizer.
 
 Drivers declare *what* each phase does through plain callables on an
 :class:`ExecutionContext`; the engine decides *how* phases run. This is
@@ -54,6 +57,7 @@ from ..partition import (
 from ..storage import BufferPool, RecoveryPolicy
 from ..storage.datafile import DataEntry
 from ..workload.seeding import derive_seed
+from .lifetime import end_join, join_buffer
 from .result import JoinResult, ParallelDecision
 
 __all__ = [
@@ -210,7 +214,34 @@ class JoinPipeline:
         the crash-recovery loop, performs BFJ degradation, records trace
         spans, and (when enabled) runs the invariant sanitizer at every
         phase boundary.
+
+        The join owns the pages it allocates. It first frees the index
+        pages queued on its buffer (a safe point), and when it returns
+        or fails frees the pages it allocated that the result's index
+        does not hold (:mod:`repro.join.lifetime`). That runs after the
+        result is built and is not I/O, so no counter of this join
+        moves.
         """
+        buffer = join_buffer(ctx)
+        if buffer is None:
+            return self._run(ctx)
+        buffer.free_pending()
+        start = buffer.disk.allocated_pages
+        try:
+            result = self._run(ctx)
+        except Exception:
+            # A failed join keeps nothing. (An interrupt is left alone:
+            # it may land inside a pinned section.)
+            end_join(buffer, start, None)
+            raise
+        end_join(buffer, start, result.index)
+        if ctx.sanitizer is not None:
+            ctx.sanitizer.check_freed(buffer, (ctx.tree_r, result.index))
+        return result
+
+    def _run(self, ctx: ExecutionContext) -> JoinResult:
+        """The phase loop; a degradation re-enters here, inside the
+        outermost :meth:`execute`."""
         if ctx.sanitizer is None and ctx.mode.sanitize:
             ctx.sanitizer = Sanitizer()
         sanitizer = ctx.sanitizer
@@ -326,7 +357,7 @@ class JoinPipeline:
         assert self.fallback is not None
         with ctx.metrics.phase(Phase.CONSTRUCT):
             ctx.metrics.record_fallback()
-        result = self.fallback().execute(ctx)
+        result = self.fallback()._run(ctx)
         result.degraded = True
         result.fallback_from = self.algorithm
         result.degraded_reason = f"{type(exc).__name__}: {exc}"

@@ -39,7 +39,10 @@ class JoinResult:
     results from different algorithms compare directly. ``index`` is the
     join-time structure an algorithm built (a seeded tree or R-tree),
     retained because Section 5 notes it can serve later selections; BFJ
-    builds nothing and leaves it ``None``.
+    builds nothing and leaves it ``None``. Every other page the join
+    built is freed when it ends; the index's pages stay while anything
+    holds the index and are freed at the buffer's next safe point after
+    the last handle goes (:mod:`repro.join.lifetime`).
 
     ``degraded`` records graceful degradation under fault injection: the
     requested algorithm's construction failed irrecoverably and the join

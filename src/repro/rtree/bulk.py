@@ -79,10 +79,11 @@ def bulk_load_str(
             break
         level += 1
 
-    # The packing ended with a single node; make it the root and retire
-    # the empty placeholder root created by the RTree constructor.
+    # The packing ended with a single node; make it the root and free
+    # the empty placeholder root created by the RTree constructor (a
+    # large pack may have evicted it to disk).
     only = level_entries[0]
-    tree.buffer.drop(tree.root_id, write_back=False)
+    tree.buffer.free([tree.root_id])
     tree.root_id = only.ref
     tree._count = count
     root = tree._node_unaccounted(tree.root_id)

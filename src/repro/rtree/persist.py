@@ -154,7 +154,7 @@ def load_tree(
             e.ref = page_ids[e.ref]
 
     tree = RTree(buffer, config, metrics=metrics, name=name, fast=fast)
-    buffer.drop(tree.root_id, write_back=False)  # placeholder root
+    buffer.free([tree.root_id])  # placeholder root
     tree.root_id = page_ids[0]
     tree._count = count
     return tree

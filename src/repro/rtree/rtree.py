@@ -279,8 +279,9 @@ class RTree:
             # a surviving pin would fail the next purge.
             for pid in pinned:
                 self.buffer.unpin(pid)
-        for orphan in orphans:
-            self.buffer.drop(orphan.page_id, write_back=False)
+        # The orphans' entries live on in memory until re-inserted; their
+        # pages are dead, in the buffer and on disk alike.
+        self.buffer.free([orphan.page_id for orphan in orphans])
 
         # Re-insert orphaned entries at their original levels, lowest
         # levels first so the tree never has to grow to accept them.
@@ -306,7 +307,7 @@ class RTree:
                 return
             old_id = self.root_id
             self.root_id = root.entries[0].ref
-            self.buffer.drop(old_id, write_back=False)
+            self.buffer.free([old_id])
 
     # ----------------------------------------------------------------- #
     # Introspection (unaccounted; for tests, seeding, statistics)

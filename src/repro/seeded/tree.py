@@ -761,7 +761,7 @@ class SeededTree:
         return True
 
     def _flatten_subtree(self, page_id: int, out: list[Entry]) -> None:
-        """Collect a subtree's data entries and drop its pages.
+        """Collect a subtree's data entries and free its pages.
 
         Reads are accounted — flattening visits every page it frees.
         """
@@ -771,7 +771,7 @@ class SeededTree:
         else:
             for e in node.entries:
                 self._flatten_subtree(e.ref, out)
-        self.buffer.drop(page_id, write_back=False)
+        self.buffer.free([page_id])
 
     def _shrink_root_retained(self) -> None:
         while True:
@@ -780,7 +780,7 @@ class SeededTree:
                 return
             old_id = self.root_id
             self.root_id = root.entries[0].ref
-            self.buffer.drop(old_id, write_back=False)
+            self.buffer.free([old_id])
 
     def point_query(self, x: float, y: float) -> list[int]:
         self._require_ready()

@@ -146,6 +146,16 @@ class ResidentSession:
                 entries, name=f"D_S[{self.name}#{self._installed_inputs}]"
             )
 
+    def release_join_input(self, data_s: DataFile) -> None:
+        """Free an input made by :meth:`install_join_input`, and the
+        pages of join indexes already queued on the session's buffer."""
+        buffer = self.workspace.buffer
+        first = data_s.first_page_id
+        with self.lock:
+            # An empty file still took one page id.
+            buffer.free(range(first, first + max(data_s.num_pages, 1)))
+            buffer.free_pending()
+
     def __len__(self) -> int:
         return len(self.tree)
 

@@ -43,6 +43,7 @@ from ..errors import (
     ReproError,
 )
 from ..join.api import spatial_join
+from ..join.lifetime import release_index
 from .admission import Action, AdmissionController, RequestBudget
 from .deadline import Deadline
 from .metrics import Readiness, ServiceMetrics, readiness
@@ -423,6 +424,9 @@ class JoinService:
                 ticket.deadline.check("picked up by worker")
             assert session is not None  # refused tickets never enqueue
             with session.lock:
+                # A safe point for the session's buffer: free the pages
+                # of join indexes collected since the last request.
+                session.workspace.buffer.free_pending()
                 session.workspace.disk.deadline = ticket.deadline
                 try:
                     if isinstance(request, JoinRequest):
@@ -464,6 +468,13 @@ class JoinService:
         self._finish(ticket, response)
 
     def _run_join(self, session: ResidentSession, ticket: _Ticket):
+        """Join the request's input against the session tree.
+
+        The service keeps nothing a join builds: the installed input and
+        the join's index are freed before the response goes out (a
+        response may be held for long, so waiting for the index's
+        finalizer would keep its pages), and ``result.index`` is None.
+        """
         request = ticket.request
         assert isinstance(request, JoinRequest)
         workspace = session.workspace
@@ -473,11 +484,16 @@ class JoinService:
             parallel_kw["workers"] = request.workers
         if request.partitions is not None:
             parallel_kw["partitions"] = request.partitions
-        result = spatial_join(
-            data_s, session.tree, workspace.buffer, workspace.config,
-            workspace.metrics, method=ticket.method,
-            recovery=session.recovery, **parallel_kw, **request.options,
-        )
+        try:
+            result = spatial_join(
+                data_s, session.tree, workspace.buffer, workspace.config,
+                workspace.metrics, method=ticket.method,
+                recovery=session.recovery, **parallel_kw, **request.options,
+            )
+            release_index(result.index)
+            result.index = None
+        finally:
+            session.release_join_input(data_s)
         if ticket.admission_downgrade or ticket.overload_degrade:
             workspace.record_service_fallback()
             result.degraded = True

@@ -15,13 +15,19 @@ construction and tree matching, with these behaviours (Section 4):
 :class:`~repro.storage.disk.DiskSimulator`. All accounting falls out of the
 disk's own classification: a miss triggers ``disk.read``, an eviction of a
 dirty page triggers ``disk.write``.
+
+Pages are freed through :meth:`BufferPool.free`: the frame goes without
+write-back, then the disk image. A join frees the pages it allocated
+when it ends, and a retained index's pages are queued by a finalizer on
+:attr:`BufferPool.pending_free` and freed at the pool's next safe point
+(:meth:`BufferPool.free_pending`); see DESIGN.md, "Page lifetime".
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..errors import (
     BufferFullError,
@@ -100,6 +106,12 @@ class BufferPool:
         # merges the park back at the front, restoring the exact
         # original order, so victim choice is unchanged frame for frame.
         self._parked: "OrderedDict[int, _Frame]" = OrderedDict()
+        #: Batches of page ids waiting to be freed. A finalizer may run
+        #: in the middle of any pool operation (a cyclic collection) or
+        #: on another thread, so it only appends here — one atomic
+        #: ``deque.append`` — and the owner frees the batches at a safe
+        #: point through :meth:`free_pending`.
+        self.pending_free: deque = deque()
 
     # ----------------------------------------------------------------- #
     # Core operations
@@ -476,6 +488,41 @@ class BufferPool:
         if write_back and frame.dirty:
             self.disk.write(frame.page)
         del store[page_id]
+
+    def free(self, page_ids: Iterable[int]) -> None:
+        """Release pages for good: frames without write-back, then images.
+
+        Freeing is not I/O in the paper's model, so no counter moves; a
+        later operation simply no longer evicts or writes back the dead
+        pages. A pinned page is still in use and raises
+        :class:`~repro.errors.PinError` before anything is freed.
+        Freeing a non-resident page drops its image only, and freeing
+        an id twice is a no-op (ids are never reused).
+        """
+        ids = list(page_ids)
+        frames = self._frames
+        for page_id in ids:
+            frame = frames.get(page_id)
+            if frame is None:
+                # Parked frames are pinned by invariant.
+                frame = self._parked.get(page_id)
+            if frame is not None and frame.pin_count > 0:
+                raise PinError(f"cannot free pinned page {page_id}")
+        for page_id in ids:
+            frames.pop(page_id, None)
+        self.disk.free(ids)
+
+    def free_pending(self) -> None:
+        """Free every batch queued on :attr:`pending_free`.
+
+        Call only at a safe point: no pool operation in flight on this
+        pool, and (for a shared pool) under the lock that serialises its
+        users.
+        """
+        pending = self.pending_free
+        while pending:
+            self.free(pending[0])
+            pending.popleft()
 
     def crash_discard(self) -> None:
         """Drop every frame without any write-back (simulated power loss).

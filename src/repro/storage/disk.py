@@ -12,6 +12,10 @@ one). :class:`DiskSimulator` reproduces that accounting:
   as one sweep: the first access pays the seek (random), the rest are
   sequential. The linked-list construction of Section 3.1 uses these for
   its batch flushes and re-reads.
+* :meth:`free` drops page images for good. Page ids come from a monotone
+  counter and are never reused, so freeing cannot change how a later
+  access is classified; a freed id can be neither read nor written
+  again.
 
 Accesses are reported to the :class:`~repro.metrics.MetricsCollector`,
 which attributes them to the current phase (setup / construct / match).
@@ -46,6 +50,9 @@ class DiskSimulator:
             injector.metrics = self.metrics
         self._pages: dict[int, Page] = {}
         self._next_id = 0
+        # One byte per page id up to the highest freed one: non-zero
+        # once the id was freed, so a stale access can say so.
+        self._freed = bytearray()
         self._last_accessed: int | None = None
         #: Cooperative request cancellation (duck-typed; see
         #: :class:`repro.service.Deadline`). When set, every accounted
@@ -96,6 +103,51 @@ class DiskSimulator:
         """Number of distinct pages that currently hold data."""
         return len(self._pages)
 
+    def free(self, page_ids: Iterable[int]) -> None:
+        """Drop the images of ``page_ids`` for good; charges no I/O.
+
+        Ids stay allocated (the counter never goes back), so the
+        random/sequential classification of every later access is what
+        it would have been without the free. Freeing an id twice, or an
+        id that was allocated but never written, is a no-op. Code
+        outside the storage layer frees through
+        :meth:`BufferPool.free <repro.storage.buffer.BufferPool.free>`,
+        which drops a resident frame first.
+        """
+        ids = list(page_ids)
+        if not ids:
+            return
+        lo, hi = min(ids), max(ids)
+        if lo < 0 or hi >= self._next_id:
+            bad = lo if lo < 0 else hi
+            raise StorageError(
+                f"page id {bad} was not allocated on this disk"
+            )
+        pages = self._pages
+        freed = self._freed
+        if hi >= len(freed):
+            freed.extend(bytes(hi + 1 - len(freed)))
+        for page_id in ids:
+            pages.pop(page_id, None)
+            freed[page_id] = 1
+
+    def is_freed(self, page_id: int) -> bool:
+        """Whether ``page_id`` was freed (unaccounted)."""
+        freed = self._freed
+        return 0 <= page_id < len(freed) and freed[page_id] != 0
+
+    def _missing(self, page_id: int) -> PageNotFoundError:
+        why = "was freed" if self.is_freed(page_id) else "was never written"
+        return PageNotFoundError(f"page {page_id} {why}")
+
+    def _check_writable(self, page_id: int) -> None:
+        if page_id < 0 or page_id >= self._next_id:
+            raise StorageError(
+                f"page id {page_id} was not allocated on this disk"
+            )
+        if self.is_freed(page_id):
+            raise StorageError(f"page {page_id} was freed; ids are not reused")
+
     # ----------------------------------------------------------------- #
     # Single-page I/O (auto-classified)
     # ----------------------------------------------------------------- #
@@ -115,7 +167,7 @@ class DiskSimulator:
         try:
             page = self._pages[page_id]
         except KeyError:
-            raise PageNotFoundError(f"page {page_id} was never written") from None
+            raise self._missing(page_id) from None
         self.metrics.record_read(sequential=self._classify(page_id))
         if self.injector is not None:
             self.injector.on_read(page_id)
@@ -124,10 +176,7 @@ class DiskSimulator:
     def write(self, page: Page) -> None:
         """Write one page, charging a random or sequential access."""
         self.check_deadline()
-        if page.page_id < 0 or page.page_id >= self._next_id:
-            raise StorageError(
-                f"page id {page.page_id} was not allocated on this disk"
-            )
+        self._check_writable(page.page_id)
         self.metrics.record_write(sequential=self._classify(page.page_id))
         if self.injector is not None:
             # A crash here loses the in-flight write (the store below
@@ -148,10 +197,7 @@ class DiskSimulator:
             if i and page.page_id != pages[i - 1].page_id + 1:
                 raise StorageError("write_run() requires contiguous page ids")
         for i, page in enumerate(pages):
-            if page.page_id < 0 or page.page_id >= self._next_id:
-                raise StorageError(
-                    f"page id {page.page_id} was not allocated on this disk"
-                )
+            self._check_writable(page.page_id)
             self.metrics.record_write(sequential=self._classify(page.page_id))
             if self.injector is not None:
                 self.injector.on_write(page)
@@ -170,9 +216,7 @@ class DiskSimulator:
             try:
                 page = self._pages[page_id]
             except KeyError:
-                raise PageNotFoundError(
-                    f"page {page_id} was never written"
-                ) from None
+                raise self._missing(page_id) from None
             self.metrics.record_read(sequential=self._classify(page_id))
             if self.injector is not None:
                 self.injector.on_read(page_id)
@@ -198,10 +242,7 @@ class DiskSimulator:
         paper's assumption that ``T_R`` was built before the join.
         """
         for page in pages:
-            if page.page_id < 0 or page.page_id >= self._next_id:
-                raise StorageError(
-                    f"page id {page.page_id} was not allocated on this disk"
-                )
+            self._check_writable(page.page_id)
             self._pages[page.page_id] = page
 
     def reset_arm(self) -> None:

@@ -111,10 +111,14 @@ class Workspace:
         built by some earlier join and retained as an ordinary index
         (paper Section 5); like :meth:`install_rtree` the construction
         is free, the buffer is purged afterwards, and everything the
-        stream does to the tree later is charged.
+        stream does to the tree later is charged. The build's scratch
+        (pruned seed nodes, linked-list batches) is freed, as a join's
+        is.
         """
+        from .join.lifetime import free_scratch
         from .seeded import SeededTree
 
+        start = self.disk.allocated_pages
         with self.metrics.phase(Phase.SETUP):
             tree = SeededTree(
                 self.buffer, self.config, metrics=None,
@@ -124,6 +128,7 @@ class Workspace:
             tree.grow_from(list(entries))
             tree.cleanup()
             tree.metrics = self.metrics
+            free_scratch(self.buffer, start, tree)
             self.buffer.purge()
         self.disk.reset_arm()
         return tree
@@ -182,7 +187,12 @@ class Workspace:
     # ----------------------------------------------------------------- #
 
     def start_measurement(self) -> None:
-        """Cold-start the cache and zero the counters for a fresh run."""
+        """Cold-start the cache and zero the counters for a fresh run.
+
+        A safe point: the pages of join indexes dropped since the last
+        one are freed first, so the purge does not write them back.
+        """
+        self.buffer.free_pending()
         with self.metrics.phase(Phase.SETUP):
             self.buffer.purge()
         self.disk.reset_arm()

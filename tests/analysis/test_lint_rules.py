@@ -68,6 +68,20 @@ def test_rpr001_allows_unaccounted_peek():
     assert codes_for(snippet) == []
 
 
+def test_rpr001_fires_on_direct_disk_free():
+    bad = """
+        def release(self, page_ids):
+            self.buffer.disk.free(page_ids)
+    """
+    good = """
+        def release(self, page_ids):
+            self.buffer.free(page_ids)
+    """
+    assert codes_for(bad) == ["RPR001"]
+    assert codes_for(good) == []
+    assert codes_for(bad, "src/repro/storage/buffer.py") == []
+
+
 # --------------------------------------------------------------------- #
 # RPR002: nondeterminism primitives outside workload/seeding.py
 # --------------------------------------------------------------------- #

@@ -151,6 +151,23 @@ def test_detects_leaked_pin():
     Sanitizer().check_buffer(ws.buffer)  # balanced again -> clean
 
 
+def test_detects_a_frame_holding_a_freed_page():
+    ws, tree = _installed_tree()
+    Sanitizer().check_freed(ws.buffer, (tree,))
+    ws.buffer.fetch(tree.root_id)
+    ws.disk.free([tree.root_id])   # the image goes, the frame stays
+    with pytest.raises(InvariantViolation, match="freed page"):
+        Sanitizer().check_freed(ws.buffer, (tree,))
+
+
+def test_detects_a_live_tree_page_that_was_freed():
+    ws, tree = _installed_tree()
+    leaf = next(n for n in tree.iter_nodes() if n.is_leaf)
+    ws.buffer.free([leaf.page_id])
+    with pytest.raises(InvariantViolation, match="lost a page"):
+        Sanitizer().check_freed(ws.buffer, (tree, None, "index"))
+
+
 def test_detects_counter_decrease():
     ws, _tree = _installed_tree()
     s = Sanitizer()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.dynamic import (
     AlwaysRebuild,
+    DynamicScenario,
     IncrementalJoin,
     NeverReseed,
     ReseedDecision,
@@ -146,3 +147,34 @@ class TestManager:
         manager.tree.validate()
         fresh = sorted(ws.match_resident(manager.tree, manager.partner))
         assert inc.pairs() == fresh
+
+
+class TestPageLifetime:
+    def test_rebuild_frees_the_old_tree_and_its_own_scratch(self):
+        ws, partner, tree_s, _ = _world()
+        successor = rebuild_seeded(ws, tree_s, partner)
+        live = {n.page_id for n in partner.iter_nodes()}
+        live |= {n.page_id for n in successor.iter_nodes()}
+        assert set(ws.disk._pages) <= live
+        assert not any(ws.disk.is_freed(p) for p in live)
+
+    def test_always_rebuild_keeps_written_pages_flat(self):
+        scenario = DynamicScenario(
+            DYN_CONFIG, n_r=400, n_s=400, seed=3, policy=AlwaysRebuild(),
+        )
+        disk = scenario.workspace.disk
+        readings = []
+        for _ in range(20):
+            scenario.step(s_ops=10, r_ops=10)
+            decision, _ = scenario.maintain()
+            assert decision is ReseedDecision.REBUILD
+            live = {n.page_id for n in scenario.partner.iter_nodes()}
+            live |= {n.page_id for n in scenario.tree_s.iter_nodes()}
+            # Every stored page belongs to one of the two live trees.
+            assert set(disk._pages) <= live
+            readings.append(disk.written_pages)
+        assert scenario.manager.rebuilds == 20
+        # The live trees drift a little under churn; the disk follows
+        # them instead of growing by a tree per rebuild.
+        assert max(readings) - min(readings) < min(readings) // 4
+        assert scenario.incremental.pairs() == scenario.reference_pairs()

@@ -14,6 +14,7 @@ import gc
 import numpy as np
 import pytest
 
+import repro.analysis.sanitizer as sanitizer_mod
 import repro.join.batch as join_batch
 import repro.join.stj as stj_mod
 import repro.seeded.replay as replay_mod
@@ -177,9 +178,22 @@ def test_replayed_tree_carries_an_exact_snapshot(env, spies, monkeypatch):
     first = _join(ws, tree_r, file_s)
     packs = []
     build = ColumnTree.build.__func__
+    # The sanitizer (REPRO_SANITIZE=1) packs reference snapshots through
+    # packed_snapshot to check the carried ones; those are not the
+    # join's packs.
+    referencing = []
+    reference_pack = sanitizer_mod.packed_snapshot
+
+    def counted_reference(tree):
+        referencing.append(tree)
+        try:
+            return reference_pack(tree)
+        finally:
+            referencing.pop()
 
     def counted(cls, *args, **kwargs):
-        packs.append(args[1])
+        if not referencing:
+            packs.append(args[1])
         return build(cls, *args, **kwargs)
 
     assembled = []
@@ -190,6 +204,7 @@ def test_replayed_tree_carries_an_exact_snapshot(env, spies, monkeypatch):
         return assemble(base, *args, **kwargs)
 
     monkeypatch.setattr(ColumnTree, "build", classmethod(counted))
+    monkeypatch.setattr(sanitizer_mod, "packed_snapshot", counted_reference)
     monkeypatch.setattr(join_batch, "assemble", counted_assemble)
     second = _join(ws, tree_r, file_s)
     assert spies == {"record": 1, "replay": 1}
