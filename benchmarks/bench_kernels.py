@@ -24,7 +24,11 @@ root:
   (``scalar_s - batch_s``). Two legs: **warm** repeats share one
   workspace (the resident steady state, where construction replay and
   the warm plan cache hit), **cold** repeats each join in a fresh
-  workspace (the paper's regime, where no cache can hit).
+  workspace (the paper's regime, where no cache can hit). Each method
+  runs its warm repeats, in a fresh workspace of its own, and then its
+  cold repeats, so drift of the host over the run moves a method's two
+  legs alike instead of opening a gap between a warm half and a cold
+  half of the run.
 
 Flags::
 
@@ -301,26 +305,26 @@ def run(quick: bool) -> dict:
         out["micro"][str(n)] = bench_micro_size(n)
 
     d_r, d_s = make_inputs(n_r, n_s)
-    shared = build_env(d_r, d_s)
-    ws, tree_r, file_s = shared
-    # Warm caches and code paths once so the first measured method does
-    # not absorb interpreter and allocator warm-up.
-    ws.start_measurement()
-    spatial_join(file_s, tree_r, ws.buffer, ws.config, ws.metrics,
-                 method="BFJ")
-    # Warm leg: every repeat in the one shared workspace, the resident
-    # steady state, so construction replay and warm plans count.
     for method in methods:
+        # Warm leg: every repeat in one workspace of the method's own,
+        # the resident steady state, so construction replay and warm
+        # plans count. One unmeasured join first fills its caches and
+        # warms the interpreter and allocator.
+        shared = build_env(d_r, d_s)
+        ws, tree_r, file_s = shared
+        ws.start_measurement()
+        spatial_join(file_s, tree_r, ws.buffer, ws.config, ws.metrics,
+                     method=method)
         out["e2e"]["algorithms"][method] = bench_e2e_method(
             lambda: shared, method, repeats, "warm",
         )
-    # Release the warm leg's workspace before the cold leg: a heap it
-    # keeps alive is scanned by every collection the cold runs trigger.
-    del shared, ws, tree_r, file_s
-    gc.collect()
-    # Cold leg: every run in a fresh workspace, so nothing it joins has
-    # been seen before and no warm state can hit.
-    for method in methods:
+        # Release the warm workspace before the cold repeats: a heap it
+        # keeps alive is scanned by every collection the cold runs
+        # trigger.
+        del shared, ws, tree_r, file_s
+        gc.collect()
+        # Cold leg: every run in a fresh workspace, so nothing it joins
+        # has been seen before and no warm state can hit.
         out["e2e"]["algorithms_cold"][method] = bench_e2e_method(
             lambda: build_env(d_r, d_s), method, repeats, "cold",
         )

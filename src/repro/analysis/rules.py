@@ -1156,9 +1156,8 @@ class SharedColumnWrite(Rule):
 
     def applies(self) -> bool:
         # The column implementations themselves are the owners: create
-        # paths fill segments before publication, and RectArray's
-        # patch_row() is the one sanctioned in-place edit (attached
-        # views are read-only, so it raises off-owner at runtime).
+        # paths fill segments before publication (attached views are
+        # read-only, so a write raises off-owner at runtime).
         return not (
             self.ctx.is_test
             or self.ctx.is_repro_module("kernels/rect_array.py")

@@ -18,11 +18,11 @@ pipeline phase boundary:
   operation-scoped);
 * **counter monotonicity** — every I/O, CPU, and fault counter is
   non-decreasing across successive snapshots of the same collector;
-* **kernel-cache coherence** — a node's lazily built column/MBR caches
-  (:mod:`repro.kernels`) must be exact copies of its live entry list; a
-  stale cache means some mutation path forgot
-  :meth:`~repro.rtree.node.Node.invalidate_caches` and the batch
-  kernels would silently compute against dead geometry;
+* **node-MBR memo coherence** — a node's memoised MBR
+  (:meth:`~repro.rtree.node.Node.cached_mbr`, which the scalar tree
+  matcher reads) must be the exact union of its live entries; a stale
+  memo means some mutation path forgot
+  :meth:`~repro.rtree.node.Node.invalidate_caches`;
 * **snapshot coherence** — a tree's memoised columnar snapshot
   (:func:`repro.join.batch.column_tree_of`), when it is at the tree's
   current version stamp, must equal a fresh pack of the live nodes
@@ -48,7 +48,6 @@ import os
 from typing import Any
 
 from ..errors import InvariantViolation, TreeError
-from ..kernels import RectArray
 from ..kernels.node_store import ColumnTree
 from ..metrics.collector import CollectorSnapshot, MetricsCollector
 from ..rtree.node import Node, node_mbr
@@ -415,20 +414,13 @@ class Sanitizer:
 
     @staticmethod
     def _check_node_caches(node: Node, page_id: int, where: str) -> None:
-        """A populated kernel cache must mirror the live entries exactly.
+        """A populated node-MBR memo must be the exact union of the live
+        entries.
 
-        ``None`` caches are always fine (lazily built); a stale populated
+        A ``None`` memo is always fine (lazily built); a stale populated
         one means an entry mutation skipped ``invalidate_caches()`` and
-        the vectorized kernels would read dead geometry.
+        the scalar matcher would read a dead box.
         """
-        rect_cache = getattr(node, "_rect_cache", None)
-        if rect_cache is not None and not rect_cache.matches_entries(
-            node.entries
-        ):
-            raise InvariantViolation(
-                f"node {page_id} carries a stale MBR column cache "
-                f"(entries changed without invalidate_caches) ({where})"
-            )
         mbr_cache = getattr(node, "_mbr_cache", None)
         if mbr_cache is not None and (
             not node.entries or mbr_cache != node_mbr(node)
@@ -438,17 +430,6 @@ class Sanitizer:
                 f"{mbr_cache} (exact union is "
                 f"{node_mbr(node) if node.entries else 'empty'}) ({where})"
             )
-        shadow_cache = getattr(node, "_shadow_cache", None)
-        if isinstance(shadow_cache, RectArray):
-            stale = shadow_cache.n != len(node.entries) or any(
-                e.shadow is None or shadow_cache.rect_at(i) != e.shadow
-                for i, e in enumerate(node.entries)
-            )
-            if stale:
-                raise InvariantViolation(
-                    f"node {page_id} carries a stale shadow column cache "
-                    f"({where})"
-                )
 
     @staticmethod
     def _check_parent_mbr(entry: Any, child: Node, where: str) -> None:

@@ -110,8 +110,7 @@ def column_tree_of(tree: Any) -> ColumnTree | None:
     previous snapshot holds and whose edit tick is older than that
     snapshot's keeps its rows; every other node is read from its
     entries. Every edit of a node's entries takes a new tick
-    (``Node.invalidate_caches``/``patch_entry_mbr``), so the result
-    equals a fresh pack. Without a previous snapshot every node is read.
+    (``Node.invalidate_caches``), so the result equals a fresh pack. Without a previous snapshot every node is read.
 
     ``None`` means some leaf ref (object id) does not fit the
     snapshot's int64 ref column. That answer is cached under the same

@@ -33,7 +33,7 @@ def _window_queries(rows: Iterable[DataEntry], tree_r: Any) -> list[JoinPair]:
     """The scalar reference: one window query per D_S rectangle."""
     pairs = []
     for rect, oid_s in rows:
-        for oid_r in window_query(tree_r, rect, False):
+        for oid_r in window_query(tree_r, rect):
             pairs.append((oid_s, oid_r))
     return pairs
 

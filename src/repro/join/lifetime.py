@@ -13,9 +13,14 @@ When the outermost :meth:`~repro.join.engine.JoinPipeline.execute`
 ends, :func:`end_join` frees every page of that range the result's
 index does not hold, and puts a finalizer on the index that queues the
 rest on the buffer's :attr:`~repro.storage.BufferPool.pending_free`
-once the caller drops its last handle. The buffer frees the queue at
-its next safe point. A caller that is done with an index before it is
-collected (the join service) calls :func:`release_index`.
+once the caller drops its last handle. The list it queues is kept on
+the index (``_held_pages``), and the one allocation site of a tree's
+later growth (:func:`repro.rtree.insertion.new_node`: retained
+inserts and deletes, ``RTree.insert`` and ``RTree.delete``) appends to
+it, so a kept index that grows still takes all its pages with it. The
+buffer frees the queue at its next safe point. A caller that is done
+with an index before it is collected (the join service) calls
+:func:`release_index`.
 """
 
 from __future__ import annotations
@@ -82,14 +87,15 @@ def end_join(buffer: BufferPool, start: int, index: Any) -> None:
     """Free the join's scratch and hand the index's pages to a finalizer.
 
     ``start`` is the allocator position when the join began. The
-    index's pages in the range stay until the index is collected (or
-    :func:`release_index` is called).
+    index's pages in the range, and those it allocates later, stay
+    until the index is collected (or :func:`release_index` is called).
     """
     keep = free_scratch(buffer, start, index)
     if keep:
         release = weakref.finalize(index, buffer.pending_free.append, keep)
         release.atexit = False
         index._release_pages = release
+        index._held_pages = keep
 
 
 def release_index(index: Any) -> None:

@@ -53,7 +53,6 @@ from .node_store import (
 )
 from .rect_array import (
     NUMPY_MIN_N,
-    LocalRectBuffer,
     RectArray,
     SharedRectArray,
     SharedRectBuffer,
@@ -63,7 +62,6 @@ from .rect_array import (
 __all__ = [
     "BACKEND",
     "ColumnTree",
-    "LocalRectBuffer",
     "MatchPlan",
     "NUMPY_MIN_N",
     "RectArray",

@@ -1,9 +1,9 @@
 """The runtime execution switch.
 
 Join execution has two paths, selected by ``REPRO_KERNELS``: the scalar
-reference (``REPRO_KERNELS=0``) and the default fast path —
-construction kernels, batch traversal plans, construction replay and
-batch z-order decomposition.
+reference (``REPRO_KERNELS=0``) and the default fast path — log-first
+construction and its replay, the quadratic-split kernel, batch
+traversal plans and batch z-order decomposition.
 :func:`kernels_enabled` parses the environment variable on every call
 and caches nothing, which keeps this module free of mutable state
 (RPR005) and lets the differential tests flip paths with

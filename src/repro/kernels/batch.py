@@ -6,6 +6,15 @@ same winners under the same tie-breaks, pairs in the same order, and —
 for the sweep — the same ``xy_tests`` increment, derived analytically
 instead of counted one comparison at a time.
 
+The library calls three of them: :func:`quadratic_split_indices` (the
+quadratic split of the per-object trees and of the log-first builder),
+:func:`intersect_indices` (NAIVE) and :func:`clipped_area_total` (the
+workload generator). :func:`mbr_of`, :func:`least_enlargement_index`,
+:func:`min_center_distance_index`, :func:`all_points` and
+:func:`sweep_pairs_batch` have no caller in ``src``; perfbench's traced
+probe list (``perfbench/probes.py``) resolves them by name, so they
+retire with that list.
+
 Two implementations back each kernel: a numpy one (used when the
 operands carry numpy columns) and a pure-Python one over the list
 columns that node-sized arrays use. The numpy paths restrict
@@ -139,8 +148,10 @@ def least_enlargement_index(arr: RectArray, rect: Rect) -> int | None:
     rxlo, rylo, rxhi, ryhi = rect.xlo, rect.ylo, rect.xhi, rect.yhi
     best_idx = 0
     best_enl = best_area = None
-    rows = zip(arr.xlo, arr.ylo, arr.xhi, arr.yhi, arr.areas())
-    for i, (x0, y0, x1, y1, a) in enumerate(rows):
+    for i, (x0, y0, x1, y1) in enumerate(
+        zip(arr.xlo, arr.ylo, arr.xhi, arr.yhi)
+    ):
+        a = (x1 - x0) * (y1 - y0)
         uxlo = x0 if x0 <= rxlo else rxlo
         uylo = y0 if y0 <= rylo else rylo
         uxhi = x1 if x1 >= rxhi else rxhi
@@ -200,23 +211,11 @@ def min_center_distance_index(arr: RectArray, rect: Rect) -> int | None:
 
 
 def all_points(arr: RectArray) -> bool:
-    """Whether every rectangle is degenerate (a single point).
-
-    Memoised on the array: columns are immutable, and the seeded tree
-    asks this per descent step on the same cached node columns.
-    """
-    cached = arr._all_points
-    if cached is not None:
-        return cached
+    """Whether every rectangle is degenerate (a single point)."""
     if arr.is_numpy:
-        result = bool(np.all((arr.xlo == arr.xhi) & (arr.ylo == arr.yhi)))
-    else:
-        xlo, ylo, xhi, yhi = arr.xlo, arr.ylo, arr.xhi, arr.yhi
-        result = all(
-            xlo[i] == xhi[i] and ylo[i] == yhi[i] for i in range(arr.n)
-        )
-    arr._all_points = result
-    return result
+        return bool(np.all((arr.xlo == arr.xhi) & (arr.ylo == arr.yhi)))
+    xlo, ylo, xhi, yhi = arr.xlo, arr.ylo, arr.xhi, arr.yhi
+    return all(xlo[i] == xhi[i] and ylo[i] == yhi[i] for i in range(arr.n))
 
 
 # --------------------------------------------------------------------- #

@@ -31,8 +31,8 @@ records (:meth:`ColumnTree.build`) or as a previous snapshot plus the
 rows of the nodes edited since (:func:`assemble`), and version-stamped
 invalidation lives with the caller (the snapshot cache keys on the
 owning tree's ``mutations`` stamp, which every mutating path —
-inserts, deletes, ``patch_entry_mbr``-driven seed updates, the dynamic
-maintenance lane — bumps).
+inserts, deletes, seed updates, the dynamic maintenance lane —
+bumps).
 
 The plan builders are part of the default fast path; the
 ``REPRO_KERNELS=0`` scalar reference never reaches them.

@@ -8,16 +8,12 @@ exactly the IEEE-754 doubles of the source rectangles, so kernels that
 only compare or min/max the columns reproduce the scalar results bit
 for bit.
 
-Ownership is split from access. A :class:`RectArray` is a *view*: it
-never allocates cross-process resources and never needs explicit
-teardown. The storage behind a view is an *owning buffer handle*:
-
-* :class:`LocalRectBuffer` — plain in-process columns (the implicit
-  owner of every ``RectArray`` built by the classmethod constructors;
-  reified only when code needs to talk about ownership explicitly);
-* :class:`SharedRectBuffer` — one ``multiprocessing.shared_memory``
-  segment holding all four columns, with an explicit
-  create/attach/close/unlink lifecycle and leak-proof finalization.
+A :class:`RectArray` built by the classmethod constructors owns its
+plain in-process columns and never needs explicit teardown. Columns
+shared across processes live in a :class:`SharedRectBuffer`: one
+``multiprocessing.shared_memory`` segment holding all four columns,
+with an explicit create/attach/close/unlink lifecycle and leak-proof
+finalization.
 
 :class:`SharedRectArray` is the view over a shared buffer. The process
 that *creates* the segment owns it (it alone may ``unlink``); any other
@@ -77,9 +73,7 @@ def _pick_numpy(backend: str | None, n: int) -> bool:
 class RectArray:
     """``n`` rectangles as four parallel coordinate columns."""
 
-    __slots__ = (
-        "n", "xlo", "ylo", "xhi", "yhi", "is_numpy", "_all_points", "_areas",
-    )
+    __slots__ = ("n", "xlo", "ylo", "xhi", "yhi", "is_numpy")
 
     def __init__(
         self,
@@ -96,11 +90,6 @@ class RectArray:
         self.yhi = yhi
         self.n = len(xlo)
         self.is_numpy = is_numpy
-        # Lazily computed by kernels.all_points(); the only column
-        # mutation is patch_row(), which refreshes this memo itself.
-        self._all_points: bool | None = None
-        # Lazily computed by areas(); patch_row() keeps it fresh.
-        self._areas: list | None = None
 
     # ----------------------------------------------------------------- #
     # Constructors
@@ -128,20 +117,6 @@ class RectArray:
         xhi = [e.mbr.xhi for e in entries]
         yhi = [e.mbr.yhi for e in entries]
         return cls._from_columns(xlo, ylo, xhi, yhi, backend)
-
-    @classmethod
-    def from_coords(
-        cls,
-        xlo: Sequence[float],
-        ylo: Sequence[float],
-        xhi: Sequence[float],
-        yhi: Sequence[float],
-        backend: str | None = None,
-    ) -> "RectArray":
-        """Columns from pre-extracted coordinate sequences (copied)."""
-        return cls._from_columns(
-            list(xlo), list(ylo), list(xhi), list(yhi), backend
-        )
 
     @classmethod
     def _from_columns(
@@ -176,70 +151,6 @@ class RectArray:
             float(self.xhi[i]), float(self.yhi[i]),
         )
 
-    def patch_row(self, i: int, rect: Rect) -> None:
-        """Overwrite row ``i`` with ``rect``'s coordinates, in place.
-
-        The one sanctioned column mutation (RPR008 confines it to this
-        module): the r-tree's seed-descent update policies replace one
-        entry MBR per visited node, and rebuilding a node's whole column
-        cache per descent would defeat the cache. Attached shared
-        columns are read-only views, so calling this on an attachment
-        raises rather than racing the owning process.
-        """
-        self.xlo[i] = rect.xlo
-        self.ylo[i] = rect.ylo
-        self.xhi[i] = rect.xhi
-        self.yhi[i] = rect.yhi
-        # A non-point row settles the all-points memo without a rescan;
-        # a point row leaves it unknown (another row may still be a
-        # rectangle).
-        self._all_points = None if rect.is_point() else False
-        if self._areas is not None:
-            self._areas[i] = (rect.xhi - rect.xlo) * (rect.yhi - rect.ylo)
-
-    def areas(self) -> list:
-        """Per-row areas as a plain list, memoised on the array.
-
-        The insertion path evaluates every row's area on each
-        least-enlargement scan of the same node columns; with
-        :meth:`patch_row` refreshing the one changed row, the memo
-        stays valid for the lifetime of the columns.
-        """
-        cached = self._areas
-        if cached is None:
-            xlo, ylo, xhi, yhi = self.xlo, self.ylo, self.xhi, self.yhi
-            if self.is_numpy:
-                cached = ((xhi - xlo) * (yhi - ylo)).tolist()
-            else:
-                cached = [
-                    (x1 - x0) * (y1 - y0)
-                    for x0, y0, x1, y1 in zip(xlo, ylo, xhi, yhi)
-                ]
-            self._areas = cached
-        return cached
-
-    def matches_entries(self, entries: "Sequence[Entry]") -> bool:
-        """Exact coordinate equality against the entries' MBRs.
-
-        Used by the runtime sanitizer to cross-check a node's cached
-        columns against its live entry list; exact (not approximate)
-        comparison is intentional — a cache is either a perfect copy or
-        stale.
-        """
-        if self.n != len(entries):
-            return False
-        xlo, ylo, xhi, yhi = self.xlo, self.ylo, self.xhi, self.yhi
-        for i, entry in enumerate(entries):
-            mbr = entry.mbr
-            if (
-                xlo[i] != mbr.xlo
-                or ylo[i] != mbr.ylo
-                or xhi[i] != mbr.xhi
-                or yhi[i] != mbr.yhi
-            ):
-                return False
-        return True
-
     def __repr__(self) -> str:
         backend = "numpy" if self.is_numpy else "python"
         return f"RectArray(n={self.n}, backend={backend})"
@@ -248,33 +159,6 @@ class RectArray:
 # --------------------------------------------------------------------- #
 # Owning buffers
 # --------------------------------------------------------------------- #
-
-
-class LocalRectBuffer:
-    """The trivial owner: four in-process column objects.
-
-    A plain :class:`RectArray` *is* its own storage; this handle exists
-    so code that passes "the thing that owns the columns" around can do
-    it uniformly for local and shared arrays. ``close``/``unlink`` are
-    no-ops — process exit reclaims everything.
-    """
-
-    __slots__ = ("xlo", "ylo", "xhi", "yhi", "n", "is_numpy")
-
-    def __init__(self, xlo: Any, ylo: Any, xhi: Any, yhi: Any,
-                 *, is_numpy: bool) -> None:
-        self.xlo, self.ylo, self.xhi, self.yhi = xlo, ylo, xhi, yhi
-        self.n = len(xlo)
-        self.is_numpy = is_numpy
-
-    def columns(self) -> tuple[Any, Any, Any, Any]:
-        return self.xlo, self.ylo, self.xhi, self.yhi
-
-    def close(self) -> None:  # noqa: D102 - lifecycle no-op
-        pass
-
-    def unlink(self) -> None:  # noqa: D102 - lifecycle no-op
-        pass
 
 
 @dataclass(frozen=True)

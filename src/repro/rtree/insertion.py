@@ -10,7 +10,8 @@ descent/split/adjust logic once and returns the (possibly new) root id so
 either owner can update its pointer.
 
 The ``owner`` argument is duck-typed: it must provide ``buffer``,
-``capacity``, ``min_fill``, ``split``, ``metrics`` and ``fast`` attributes.
+``capacity``, ``min_fill``, ``split``, ``metrics`` and ``fast`` (the
+split's execution path) attributes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Any
 
 from ..errors import TreeError
 from ..geometry import Rect
-from ..kernels import least_enlargement_index
 from ..storage import PageKind
 from .node import Entry, Node, node_mbr
 
@@ -36,36 +36,35 @@ def choose_subtree(owner: Any, node: Node, rect: Rect) -> int:
     order of magnitude more — which per-entry charging here would bury
     under descent-scan noise.
     """
-    best_idx = None
-    if node.entries and owner.fast:
-        # Same winner as the scalar loop: first index attaining minimal
-        # enlargement, area as the tie-break (first occurrence again).
-        # Building columns eagerly amortises because the non-split
-        # adjust below patches the one grown row instead of dropping
-        # the cache — only a split still invalidates this node. A NaN
-        # enlargement (None) leaves the choice to the scalar loop.
-        best_idx = least_enlargement_index(node.rect_array(), rect)
-    if best_idx is None:
-        best_idx = 0
-        best_enl = float("inf")
-        best_area = float("inf")
-        for i, e in enumerate(node.entries):
-            enl = e.mbr.enlargement(rect)
-            if enl < best_enl:
-                best_idx, best_enl, best_area = i, enl, e.mbr.area()
-            elif enl == best_enl:
-                area = e.mbr.area()
-                if area < best_area:
-                    best_idx, best_area = i, area
+    best_idx = 0
+    best_enl = float("inf")
+    best_area = float("inf")
+    for i, e in enumerate(node.entries):
+        enl = e.mbr.enlargement(rect)
+        if enl < best_enl:
+            best_idx, best_enl, best_area = i, enl, e.mbr.area()
+        elif enl == best_enl:
+            area = e.mbr.area()
+            if area < best_area:
+                best_idx, best_area = i, area
     if owner.metrics is not None:
         owner.metrics.count_bbox_tests(1)
     return best_idx
 
 
 def new_node(owner: Any, level: int, entries: list[Entry]) -> Node:
-    """Materialise a node in the owner's buffer (born dirty)."""
+    """Materialise a node in the owner's buffer (born dirty).
+
+    An owner that a finished join handed back as its index keeps the
+    page ids its finalizer frees (``_held_pages``, set by
+    :func:`repro.join.lifetime.end_join`); a page it grows later joins
+    that list, so it goes with the index too.
+    """
     node = Node(level, entries)
     node.page_id = owner.buffer.new_page(PageKind.TREE_NODE, node).page_id
+    held = getattr(owner, "_held_pages", None)
+    if held is not None:
+        held.append(node.page_id)
     return node
 
 
@@ -120,17 +119,15 @@ def insert_into_subtree(
                 parent_entry = parent.entries[child_idx]
                 if sibling is None:
                     # Exact cheap extension: the child's true MBR grew by at
-                    # most the inserted entry's rectangle. Patching the one
-                    # changed row keeps the parent's columns warm for the
-                    # next insert's choose_subtree scan; when the rectangle
-                    # was already covered the union is the identity and the
-                    # caches stay valid untouched.
+                    # most the inserted entry's rectangle. When the
+                    # rectangle was already covered the union is the
+                    # identity and the parent's entries are unchanged.
                     m = parent_entry.mbr
                     em = entry.mbr
                     if not (m.xlo <= em.xlo and m.ylo <= em.ylo
                             and m.xhi >= em.xhi and m.yhi >= em.yhi):
                         parent_entry.mbr = m.union(em)
-                        parent.patch_entry_mbr(child_idx)
+                        parent.invalidate_caches()
                 else:
                     parent_entry.mbr = node_mbr(cur)
                     parent.entries.append(

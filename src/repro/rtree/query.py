@@ -17,16 +17,13 @@ from itertools import count
 from typing import Any
 
 from ..geometry import Rect
-from ..kernels import intersect_indices
 
 
-def window_query(tree: Any, window: Rect, fast: bool) -> list[int]:
+def window_query(tree: Any, window: Rect) -> list[int]:
     """Object ids of all objects whose MBRs intersect ``window``.
 
     Node reads are accounted through the tree's buffer; each entry
-    inspected costs one bbox test (the batch intersect filter charges
-    the same per-entry count). ``fast`` scans each node's column cache;
-    otherwise entries are tested one by one, the scalar reference.
+    inspected costs one bbox test.
     """
     results: list[int] = []
     stack = [tree.root_id]
@@ -34,35 +31,10 @@ def window_query(tree: Any, window: Rect, fast: bool) -> list[int]:
         node = tree.read_node(stack.pop())
         if tree.metrics is not None:
             tree.metrics.count_bbox_tests(len(node.entries))
-        if fast:
-            entries = node.entries
-            arr = node.rect_array()
-            out = results if node.is_leaf else stack
-            if arr.is_numpy:
-                out.extend(
-                    entries[i].ref
-                    for i in intersect_indices(arr, window)
-                )
-            else:
-                # List-backed columns (node-sized arrays): walk them
-                # directly, appending refs in one pass — an index list
-                # plus re-indexing costs more than the scan itself here.
-                wxlo, wylo = window.xlo, window.ylo
-                wxhi, wyhi = window.xhi, window.yhi
-                for e, xlo, ylo, xhi, yhi in zip(
-                    entries, arr.xlo, arr.ylo, arr.xhi, arr.yhi
-                ):
-                    if (xlo <= wxhi and wxlo <= xhi
-                            and ylo <= wyhi and wylo <= yhi):
-                        out.append(e.ref)
-        elif node.is_leaf:
-            for e in node.entries:
-                if e.mbr.intersects(window):
-                    results.append(e.ref)
-        else:
-            for e in node.entries:
-                if e.mbr.intersects(window):
-                    stack.append(e.ref)
+        out = results if node.is_leaf else stack
+        for e in node.entries:
+            if e.mbr.intersects(window):
+                out.append(e.ref)
     return results
 
 

@@ -90,8 +90,8 @@ class RTree:
     split:
         Node-split strategy; defaults to Guttman's quadratic split.
     fast:
-        Fast path or scalar reference for this tree's inserts, splits
-        and window queries; ``None`` reads ``REPRO_KERNELS`` once, here.
+        Fast path or scalar reference for this tree's quadratic splits;
+        ``None`` reads ``REPRO_KERNELS`` once, here.
     """
 
     def __init__(
@@ -165,11 +165,6 @@ class RTree:
             raise TreeError(f"node page {page_id} not found")
         return page.payload
 
-    def _new_node(self, level: int, entries: list[Entry]) -> Node:
-        node = Node(level, entries)
-        node.page_id = self.buffer.new_page(PageKind.TREE_NODE, node).page_id
-        return node
-
     # ----------------------------------------------------------------- #
     # Properties
     # ----------------------------------------------------------------- #
@@ -225,7 +220,7 @@ class RTree:
         This is the spatial-selection operation BFJ issues once per input
         rectangle. Every entry inspected costs one bbox test.
         """
-        return shared_window_query(self, window, self.fast)
+        return shared_window_query(self, window)
 
     def point_query(self, x: float, y: float) -> list[int]:
         """Object ids whose MBRs cover the point ``(x, y)``."""

@@ -1,8 +1,8 @@
 """Log-first construction of join-time trees.
 
 A cold STJ, 2STJ or RTJ join spends most of its wall time building a
-tree object by object: every level of every insert calls the buffer,
-the update policy, a column-cache patch and a kernel. Yet without
+tree object by object: every level of every insert calls the buffer
+and the update policy on ``Entry`` objects. Yet without
 faults, deadlines or observers the build never branches on buffer
 state — what it computes is a function of its inputs alone. This
 builder therefore runs the same algorithms on plain entry columns,
@@ -24,12 +24,12 @@ the seed descent with its update policy
 own split function, the linked lists (the real
 :class:`~repro.seeded.linked_lists.LinkedListManager` over a disk
 stand-in that logs instead of writing) and clean-up. Choices use the
-scalar loops' own tie-break and NaN rules, which the fast kernels
-reproduce. Page ids come from a private copy of the disk allocator,
-taken in the order the per-object build allocates, so the replay's
-creations land on the same ids. The one deliberate difference: bbox
-tests are a CPU counter with no phase and no order, so the build logs
-their total once instead of one charge per node visited.
+scalar loops' own tie-break and NaN rules. Page ids come from a
+private copy of the disk allocator, taken in the order the per-object
+build allocates, so the replay's creations land on the same ids. The
+one deliberate difference: bbox tests are a CPU counter with no phase
+and no order, so the build logs their total once instead of one charge
+per node visited.
 
 What it holds: one small node object per page (coordinate and ref
 columns), the log, and — after clean-up — the final node images and a
@@ -40,14 +40,17 @@ it is freed by reference counting when the build returns, except what
 STJ keeps as its warm recording.
 
 Where it runs: wherever construction replay may
-(:func:`~repro.seeded.replay.log_first`), sanitized joins included.
-Recovery, fault injection, deadlines, tracing and ``REPRO_KERNELS=0``
-keep the per-object build, which stays the oracle.
+(:func:`~repro.seeded.replay.log_first`), sanitized joins included,
+and for the workspace's own ``T_R`` at set-up
+(:meth:`~repro.workspace.Workspace.install_rtree`) on the fast path
+over a disk with no injector or deadline. Recovery, fault injection,
+deadlines, tracing and ``REPRO_KERNELS=0`` keep the per-object build,
+which stays the oracle.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 from ..geometry import Rect
 from ..join.batch import carry_column_tree
@@ -821,24 +824,30 @@ def build_rtree(
     buffer: BufferPool,
     config: Any,
     metrics: Any,
-    data: DataFile,
+    data: DataFile | Iterable[tuple[Rect, int]],
     *,
     split: SplitFunction = quadratic_split,
     name: str = "",
     fast: bool = True,
 ) -> RTree:
-    """:meth:`RTree.build` over a data file, log-first.
+    """:meth:`RTree.build` over a data file or ``(rect, oid)`` entries,
+    log-first.
 
-    The constructor's empty root is the build's first effect, so it is
-    made for real; the inserts then grow from it off the buffer, and
-    the root's payload takes its final image in place.
+    A data file's accounted scan is logged; plain entries cost no I/O
+    to read, as they cost :meth:`RTree.build` none. The constructor's
+    empty root is the build's first effect, so it is made for real; the
+    inserts then grow from it off the buffer, and the root's payload
+    takes its final image in place.
     """
     tree = RTree(buffer, config, metrics=metrics, split=split, name=name,
                  fast=fast)
     build = _Build(buffer, split, metrics, fast)
     root = first = _Node(tree.root_id, 0, [], [], [], [], [])
     capacity, min_fill = tree.capacity, tree.min_fill
-    entries = build.scan(data)
+    if isinstance(data, DataFile):
+        entries = build.scan(data)
+    else:
+        entries = [(rect, oid) for rect, oid in data]
     for item in entries:
         root = build.grow(root, item, capacity, min_fill)
     if build.charge is not None:

@@ -23,7 +23,6 @@ of CPU for its I/O gain.
 from __future__ import annotations
 
 from ..geometry import Rect
-from ..kernels import intersect_indices
 from ..metrics import MetricsCollector
 from ..rtree.node import Node
 
@@ -34,8 +33,6 @@ def passes_filter(
     rect: Rect,
     fetch_child,
     metrics: MetricsCollector | None = None,
-    *,
-    fast: bool,
 ) -> bool:
     """True when ``rect`` overlaps a shadow at every seed level.
 
@@ -54,9 +51,6 @@ def passes_filter(
         :class:`Node`; the seeded tree passes an accounted buffer fetch.
     metrics:
         Receives one bbox test per shadow comparison performed.
-    fast:
-        Scan each node's shadow columns, else test entry by entry (the
-        scalar reference); same answer, same charge.
     """
     tests = 0
     frontier = [seed_root]
@@ -65,19 +59,6 @@ def passes_filter(
         at_slot_level = depth == seed_levels - 1
         overlapping: list[int] = []
         for node in frontier:
-            shadows = node.shadow_array() if fast else None
-            if shadows is not None:
-                # Batch path; a node with any shadow-less entry falls
-                # back to the scalar scan, which charges those entries
-                # a test too — so the per-entry charge is identical.
-                tests += shadows.n
-                hits = intersect_indices(shadows, rect)
-                if at_slot_level:
-                    overlapping.extend(-1 for _ in range(len(hits)))
-                else:
-                    entries = node.entries
-                    overlapping.extend(entries[i].ref for i in hits)
-                continue
             for entry in node.entries:
                 tests += 1
                 shadow = entry.shadow

@@ -59,7 +59,10 @@ from ..rtree.node import Entry, Node
 from ..storage.datafile import DataFile
 from .tree import SeededTree, TreePhase, _Slot
 
-__all__ = ["BuildRecording", "EffectLog", "cached_construct", "log_first"]
+__all__ = [
+    "BuildRecording", "EffectLog", "cached_construct", "log_first",
+    "plain_disk",
+]
 
 
 class EffectLog(list):
@@ -138,7 +141,12 @@ def log_first(ctx: Any) -> bool:
         return False
     if ctx.tree_r.buffer is not ctx.buffer:
         return False
-    disk = ctx.buffer.disk
+    return plain_disk(ctx.buffer.disk)
+
+
+def plain_disk(disk: Any) -> bool:
+    """Whether nothing on ``disk`` can fail or stop a build between its
+    accounted operations: no fault injector and no deadline."""
     return disk.injector is None and disk.deadline is None
 
 

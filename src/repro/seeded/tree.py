@@ -41,12 +41,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from ..config import SystemConfig
 from ..errors import SeedingError, TreeError, TreePhaseError
 from ..geometry import Rect
-from ..kernels import (
-    all_points,
-    kernels_enabled,
-    least_enlargement_index,
-    min_center_distance_index,
-)
+from ..kernels import kernels_enabled
 from ..metrics import MetricsCollector
 from ..rtree.insertion import insert_into_subtree, new_node
 from ..rtree.node import Entry, Node, node_mbr
@@ -133,8 +128,8 @@ class SeededTree:
         automatically by comparing the estimated tree size against the
         buffer size, as the paper prescribes.
     fast:
-        Fast path or scalar reference for descent, filtering, growth,
-        splits and window queries; ``None`` reads ``REPRO_KERNELS`` once.
+        Fast path or scalar reference for the quadratic split of grown
+        nodes; ``None`` reads ``REPRO_KERNELS`` once.
     """
 
     def __init__(
@@ -476,7 +471,7 @@ class SeededTree:
 
         if self.filtering and not passes_filter(
             self.read_node(self.root_id), self.seed_levels, rect,
-            self.read_node, self.metrics, fast=self.fast,
+            self.read_node, self.metrics,
         ):
             self._filtered += 1
             return
@@ -494,12 +489,9 @@ class SeededTree:
         node = self.read_node(self.root_id)
         for depth in range(self.seed_levels):
             at_slot_level = depth == self.seed_levels - 1
-            entry, idx = self._choose_seed_entry(node, rect)
+            entry, _ = self._choose_seed_entry(node, rect)
             if apply_update(self.update_policy, entry, rect, at_slot_level):
-                # The update rewrote exactly one entry's box: patch that
-                # row instead of dropping the whole column cache, which
-                # would force a rebuild on every descent.
-                node.patch_entry_mbr(idx)
+                node.invalidate_caches()
                 self.buffer.mark_dirty(node.page_id)
             if at_slot_level:
                 return self._slots[entry.ref]
@@ -514,8 +506,7 @@ class SeededTree:
         least enlargement. When updates have turned only some boxes into
         real rectangles, least enlargement is used for all (a degenerate
         box's enlargement grows with distance, so the criteria agree in
-        spirit). The index lets :meth:`_descend_to_slot` patch the one
-        cache row an update rewrites.
+        spirit).
         """
         entries = node.entries
         if not entries:
@@ -524,22 +515,9 @@ class SeededTree:
             # One classification pass per node visited, matching the
             # granularity of the R-tree's choose_subtree accounting.
             self.metrics.count_bbox_tests(1)
-        if self.fast:
-            # The update policies rewrite one box per visited node, but
-            # the descent patches that single cache row, so the column
-            # caches stay warm across inserts.
-            arr = node.rect_array()
-            # None on a NaN distance or enlargement: the scalar loop
-            # decides.
-            if all_points(arr):
-                idx = min_center_distance_index(arr, rect)
-            else:
-                idx = least_enlargement_index(arr, rect)
-            if idx is not None:
-                return entries[idx], idx
         if all(e.mbr.is_point() for e in entries):
             # First-minimum semantics, same winner as min() over the
-            # entries (and as the center-distance kernel).
+            # entries.
             best_idx = 0
             best_d = entries[0].mbr.center_distance_sq(rect)
             for i, e in enumerate(entries[1:], 1):
@@ -683,7 +661,7 @@ class SeededTree:
         """Spatial selection on the finished tree (Section 5 notes a
         seeded tree may be retained as an ordinary access method)."""
         self._require_ready()
-        return shared_window_query(self, window, self.fast)
+        return shared_window_query(self, window)
 
     def insert_retained(self, rect: Rect, oid: int) -> None:
         """Insert into the *finished* tree, used as an ordinary index.
@@ -784,7 +762,7 @@ class SeededTree:
 
     def point_query(self, x: float, y: float) -> list[int]:
         self._require_ready()
-        return shared_window_query(self, Rect.point(x, y), self.fast)
+        return shared_window_query(self, Rect.point(x, y))
 
     def nearest_neighbors(self, x: float, y: float,
                           k: int = 1) -> list[tuple[float, int]]:

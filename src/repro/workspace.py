@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .config import SystemConfig
 from .geometry import Rect
+from .kernels import kernels_enabled
 from .metrics import MetricsCollector, Phase
 from .rtree import RTree
 from .rtree.split import SplitFunction, quadratic_split
@@ -77,7 +78,17 @@ class Workspace:
         executor uses this: each worker must stand up its tile's
         ``T_R`` inside the measured wall-clock window, and a packed
         build is both far cheaper and deterministic.
+
+        On the fast path over a disk with no injector or deadline, the
+        one-by-one build runs log-first
+        (:func:`~repro.seeded.builder.build_rtree`): the same pages,
+        buffer state and tree, and the tree arrives with its columnar
+        snapshot, so its first join packs nothing.
         """
+        from .seeded.builder import build_rtree
+        from .seeded.replay import plain_disk
+
+        fast = kernels_enabled()
         with self.metrics.phase(Phase.SETUP):
             if bulk:
                 from .rtree.bulk import bulk_load_str
@@ -86,11 +97,16 @@ class Workspace:
                     self.buffer, self.config, entries, metrics=None,
                     name=name,
                 )
+            elif fast and plain_disk(self.disk):
+                tree = build_rtree(
+                    self.buffer, self.config, None, entries,
+                    split=split, name=name,
+                )
             else:
                 tree = RTree.build(
                     self.buffer, self.config, entries,
                     metrics=None,  # setup CPU is not the paper's metric
-                    split=split, name=name,
+                    split=split, name=name, fast=fast,
                 )
             tree.metrics = self.metrics  # joins charge CPU from here on
             self.buffer.purge()

@@ -138,6 +138,26 @@ def test_retained_indexes_stay_readable_through_later_joins():
         assert snapshot.differs_from(packed_snapshot(index)) is None
 
 
+@pytest.mark.parametrize("method", ("STJ1-2N", "RTJ"))
+def test_a_grown_index_takes_its_later_pages_with_it(method):
+    """Pages a kept index allocates after its join (splits of retained
+    inserts) go with it: once it is dropped, the next safe point leaves
+    the stored pages as they were before the join."""
+    ws, tree_r, file_s = _world()
+    stored = _stored(ws)
+    result = _join(ws, tree_r, file_s, method)
+    index = result.index
+    joined = ws.disk.allocated_pages
+    insert = getattr(index, "insert_retained", None) or index.insert
+    for rect, oid in random_entries(600, seed=5, oid_start=2 * 10**6):
+        insert(rect, oid)
+    assert ws.disk.allocated_pages > joined  # the index grew new pages
+    del result, index, insert
+    gc.collect()
+    ws.start_measurement()
+    assert _stored(ws) == stored
+
+
 def test_a_failed_join_frees_everything_it_allocated():
     ws, tree_r, file_s = _world()
     stored = _stored(ws)

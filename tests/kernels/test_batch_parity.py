@@ -207,8 +207,9 @@ class TestScanKernels:
                     for i in range(1, n)]
         probe = Rect(0.0, 0.0, 1e200, 1e200)
         node = Node(1, entries)
-        assert node.rect_array().is_numpy == (n >= NUMPY_MIN_N)
-        assert least_enlargement_index(node.rect_array(), probe) is None
+        arr = RectArray.from_entries(entries)
+        assert arr.is_numpy == (n >= NUMPY_MIN_N)
+        assert least_enlargement_index(arr, probe) is None
 
         def choice(fast):
             if caller == "choose_subtree":
@@ -236,7 +237,8 @@ class TestScanKernels:
             assert min_center_distance_index(
                 arr_of(seeds, backend), probe) is None
         node = Node(1, [Entry(r, i) for i, r in enumerate(seeds)])
-        assert node.rect_array().is_numpy == (n >= NUMPY_MIN_N)
+        assert RectArray.from_entries(node.entries).is_numpy == (
+            n >= NUMPY_MIN_N)
         for fast in (False, True):
             tree = SeededTree(Workspace(SMALL).buffer, SMALL, fast=fast)
             assert tree._choose_seed_entry(node, probe)[1] == 0

@@ -1,4 +1,5 @@
-"""Node-level kernel caches: laziness, invalidation, sanitizer checks."""
+"""The node-MBR memo and the edit tick: invalidation, pickling, and the
+sanitizer's check."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ import pytest
 from repro.errors import InvariantViolation
 from repro.analysis.sanitizer import Sanitizer
 from repro.geometry import Rect
-from repro.kernels import RectArray
 from repro.rtree.node import Entry, Node, node_mbr
 
 
@@ -24,67 +24,27 @@ def make_node(n=4, level=0, shadows=False):
     return Node(level, entries, page_id=7)
 
 
-class TestRectCache:
-    def test_lazy_build_and_reuse(self):
-        node = make_node()
-        arr = node.rect_array()
-        assert isinstance(arr, RectArray) and arr.n == 4
-        assert node.rect_array() is arr  # cached, not rebuilt
-
-    def test_invalidate_drops_cache(self):
-        node = make_node()
-        arr = node.rect_array()
-        node.entries.append(Entry(Rect(9, 9, 10, 10), 99))
-        node.invalidate_caches()
-        rebuilt = node.rect_array()
-        assert rebuilt is not arr and rebuilt.n == 5
-
-    def test_length_guard_rebuilds_without_invalidate(self):
-        """Appending without invalidating still yields a full column set
-        (the belt-and-suspenders guard in rect_array)."""
-        node = make_node()
-        node.rect_array()
-        node.entries.append(Entry(Rect(9, 9, 10, 10), 99))
-        assert node.rect_array().n == 5
-
-    def test_warm_rect_array_gate(self):
-        node = make_node()
-        assert node.warm_rect_array() is None  # cold: never built
-        arr = node.rect_array()
-        assert node.warm_rect_array() is arr  # warm: reused
-        node.invalidate_caches()
-        assert node.warm_rect_array() is None  # invalidated: cold again
-
-
 class TestMbrAndShadowCaches:
     def test_cached_mbr(self):
         node = make_node()
         assert node.cached_mbr() == node_mbr(node)
+        tick = node.tick
         node.entries.pop()
         node.invalidate_caches()
+        assert node.tick > tick
         assert node.cached_mbr() == node_mbr(node)
-
-    def test_shadow_array_none_when_any_shadow_missing(self):
-        node = make_node(shadows=False)
-        assert node.shadow_array() is None
-        # The miss itself is cached; still None on re-ask.
-        assert node.shadow_array() is None
-
-    def test_shadow_array_built_when_all_present(self):
-        node = make_node(shadows=True)
-        arr = node.shadow_array()
-        assert isinstance(arr, RectArray) and arr.n == 4
-        assert node.shadow_array() is arr
 
     def test_pickle_drops_caches(self):
         node = make_node(shadows=True)
-        node.rect_array(), node.cached_mbr(), node.shadow_array()
+        node.cached_mbr()
         clone = pickle.loads(pickle.dumps(node))
         assert clone.page_id == node.page_id
         assert clone.level == node.level
         assert [e.ref for e in clone.entries] == [e.ref for e in node.entries]
-        assert clone.warm_rect_array() is None
-        assert clone._mbr_cache is None and clone._shadow_cache is None
+        assert [e.shadow for e in clone.entries] == \
+            [e.shadow for e in node.entries]
+        assert clone._mbr_cache is None
+        assert clone.tick > node.tick
 
 
 class TestSanitizerCacheChecks:
@@ -93,16 +53,9 @@ class TestSanitizerCacheChecks:
 
     def test_fresh_and_valid_caches_pass(self):
         node = make_node(shadows=True)
-        self.check(node)  # all caches None
-        node.rect_array(), node.cached_mbr(), node.shadow_array()
-        self.check(node)  # all caches coherent
-
-    def test_stale_rect_cache_detected(self):
-        node = make_node()
-        node.rect_array()
-        node.entries[0].mbr = Rect(50, 50, 51, 51)  # in-place, no invalidate
-        with pytest.raises(InvariantViolation, match="MBR column cache"):
-            self.check(node)
+        self.check(node)  # memo not built
+        node.cached_mbr()
+        self.check(node)  # memo coherent
 
     def test_stale_mbr_cache_detected(self):
         node = make_node()
@@ -110,59 +63,3 @@ class TestSanitizerCacheChecks:
         node.entries[0].mbr = Rect(50, 50, 51, 51)
         with pytest.raises(InvariantViolation, match="node-MBR cache"):
             self.check(node)
-
-    def test_stale_shadow_cache_detected(self):
-        node = make_node(shadows=True)
-        node.shadow_array()
-        node.entries[1].shadow = Rect(50, 50, 51, 51)
-        with pytest.raises(InvariantViolation, match="shadow column cache"):
-            self.check(node)
-
-    def test_shadow_cache_cleared_entry_detected(self):
-        node = make_node(shadows=True)
-        node.shadow_array()
-        node.entries[2].shadow = None
-        with pytest.raises(InvariantViolation, match="shadow column cache"):
-            self.check(node)
-
-
-class TestPatchEntryMbr:
-    def test_patch_keeps_columns_coherent(self):
-        """Row patching must leave caches the sanitizer accepts."""
-        node = make_node(shadows=True)
-        node.rect_array(), node.cached_mbr(), node.shadow_array()
-        node.entries[2].mbr = Rect(50, 50, 51, 51)
-        node.patch_entry_mbr(2)
-        Sanitizer._check_node_caches(node, node.page_id, where="test")
-        assert node.rect_array().rect_at(2) == Rect(50, 50, 51, 51)
-        assert node.cached_mbr() == node_mbr(node)
-
-    def test_patch_reuses_cache_object(self):
-        node = make_node()
-        arr = node.rect_array()
-        node.entries[0].mbr = Rect(-1, -1, 0, 0)
-        node.patch_entry_mbr(0)
-        assert node.rect_array() is arr  # patched in place, not rebuilt
-
-    def test_patch_with_stale_length_falls_back_to_rebuild(self):
-        node = make_node()
-        node.rect_array()
-        node.entries.append(Entry(Rect(9, 9, 10, 10), 99))
-        node.entries[0].mbr = Rect(-1, -1, 0, 0)
-        node.patch_entry_mbr(0)
-        assert node._rect_cache is None  # dropped, rebuilt on demand
-        assert node.rect_array().n == 5
-
-    def test_patch_settles_all_points_memo(self):
-        from repro.kernels import all_points
-
-        entries = [Entry(Rect(i, i, i, i), i) for i in range(4)]
-        node = Node(1, entries, page_id=7)
-        arr = node.rect_array()
-        assert all_points(arr)
-        node.entries[1].mbr = Rect(0, 0, 2, 2)
-        node.patch_entry_mbr(1)
-        assert all_points(node.rect_array()) is False
-        node.entries[1].mbr = Rect(5, 5, 5, 5)  # back to a point
-        node.patch_entry_mbr(1)
-        assert all_points(node.rect_array()) is True  # memo recomputed

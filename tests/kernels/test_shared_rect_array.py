@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.errors import GeometryError, ParallelError
 from repro.geometry import Rect
 from repro.kernels.rect_array import (
-    LocalRectBuffer,
     RectArray,
     SharedRectArray,
     SharedRectBuffer,
@@ -141,13 +140,6 @@ def test_context_manager_unlinks_on_keyboard_interrupt():
             assert _segment_exists(name)
             raise KeyboardInterrupt
     assert not _segment_exists(name)
-
-
-def test_local_buffer_lifecycle_is_noop():
-    buf = LocalRectBuffer([0.0], [0.0], [1.0], [1.0], is_numpy=False)
-    assert buf.columns() == ([0.0], [0.0], [1.0], [1.0])
-    buf.close()
-    buf.unlink()
 
 
 def test_finalizer_unlinks_abandoned_owner():

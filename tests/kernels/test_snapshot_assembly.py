@@ -22,6 +22,7 @@ from repro.analysis.sanitizer import Sanitizer, packed_snapshot
 from repro.config import SystemConfig
 from repro.geometry import Rect
 from repro.join.batch import column_tree_of, snapshot_record
+from repro.rtree import RTree
 from repro.rtree.split import linear_split, quadratic_split
 from repro.seeded.builder import build_rtree, build_seeded_tree
 from repro.seeded.replay import replay_recording
@@ -78,7 +79,8 @@ class _Writer:
 def _tree_from(base: str, split, data: list):
     ws = Workspace(CFG)
     if base == "packed":
-        tree = ws.install_rtree(data, split=split)
+        # A per-object build carries no snapshot, so this one is packed.
+        tree = RTree.build(ws.buffer, CFG, data, split=split)
         column_tree_of(tree)
         return tree
     if base == "builder":

@@ -85,7 +85,7 @@ def _scalar(tree, rows):
     tree.metrics.count_bbox_tests = count_spy
     try:
         for rect, oid_s in rows:
-            for oid_r in window_query(tree, rect, False):
+            for oid_r in window_query(tree, rect):
                 pairs.append((oid_s, oid_r))
     finally:
         del tree.buffer.fetch

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry import Rect
-from repro.rtree.node import Entry, Node, entries_mbr, node_mbr
+from repro.rtree.node import Entry, Node, node_mbr
 
 
 class TestEntry:
@@ -49,10 +49,6 @@ class TestMbrHelpers:
             Entry(Rect(4, 4, 5, 6), 2),
         ])
         assert node_mbr(n) == Rect(0, 0, 5, 6)
-
-    def test_entries_mbr(self):
-        entries = [Entry(Rect(0, 0, 1, 1), 1), Entry(Rect(-1, 0, 0, 2), 2)]
-        assert entries_mbr(entries) == Rect(-1, 0, 1, 2)
 
     def test_empty_node_mbr_raises(self):
         with pytest.raises(GeometryError):

@@ -12,7 +12,9 @@ pages), every field of the finished tree, and the pairs and costs of a
 match that follows. The builder's tree also carries a snapshot equal to
 a fresh pack, and passes the sanitizer's tree checks (sanitized joins
 build log-first too; this checks every drawn input, not just the
-differential suite's workloads).
+differential suite's workloads). The same holds for the workspace's
+set-up build of ``T_R`` (:meth:`Workspace.install_rtree`), which runs
+the R-tree builder over plain entries on the fast path.
 
 Inputs favour the corners where a rewrite goes wrong: duplicate boxes,
 points, touching edges, ±0.0, and coordinates near the float limit whose
@@ -21,7 +23,9 @@ enlargements overflow to ±inf or NaN.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import pytest
@@ -31,7 +35,7 @@ from hypothesis import strategies as st
 from repro.analysis.sanitizer import Sanitizer, packed_snapshot
 from repro.config import SystemConfig
 from repro.geometry import Rect
-from repro.join.batch import column_tree_of
+from repro.join.batch import column_tree_of, snapshot_record
 from repro.join.matching import match_trees
 from repro.join.two_seeded import grid_boxes
 from repro.metrics import Phase
@@ -218,6 +222,68 @@ def _check(case: dict) -> None:
 @given(case=cases())
 def test_builder_matches_the_per_object_build(case):
     _check(case)
+
+
+@contextmanager
+def _kernels(flag: str):
+    previous = os.environ.get("REPRO_KERNELS")
+    os.environ["REPRO_KERNELS"] = flag
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_KERNELS", None)
+        else:
+            os.environ["REPRO_KERNELS"] = previous
+
+
+def _install(case: dict, flag: str):
+    """One set-up twin: ``Workspace.install_rtree`` under ``flag``."""
+    with _kernels(flag):
+        ws = Workspace(case["config"])
+        start = ws.disk.allocated_pages
+        try:
+            tree = ws.install_rtree(case["entries"], split=case["split"])
+        except Exception as exc:  # both twins must fail alike
+            return ("raised", type(exc), str(exc), ws.metrics.summary(),
+                    ws.disk.allocated_pages), None
+    return _state(ws, tree, start), tree
+
+
+@st.composite
+def set_up_cases(draw) -> dict:
+    rects = draw(st.lists(boxes(), min_size=0, max_size=80))
+    first_oid = draw(st.sampled_from((0, 2**63)))
+    return dict(
+        config=draw(st.sampled_from(CONFIGS)),
+        entries=[(r, first_oid + i) for i, r in enumerate(rects)],
+        split=draw(st.sampled_from((quadratic_split, linear_split))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=set_up_cases())
+def test_install_rtree_matches_the_per_object_build(case):
+    """The workspace's set-up build of ``T_R`` runs log-first on the fast
+    path: the same page images, buffer frames, counters and tree fields
+    as the per-object build under ``REPRO_KERNELS=0``, and a carried
+    snapshot equal to a fresh pack (``None`` when an oid does not fit
+    int64)."""
+    want, scalar = _install(case, "0")
+    got, tree = _install(case, "1")
+    assert got == want
+    if tree is None:
+        return
+    assert snapshot_record(scalar) is None
+    record = snapshot_record(tree)
+    assert record.carried
+    assert record.stamp == (tree.mutations, tree.root_id)
+    fresh = packed_snapshot(tree)
+    if fresh is None:
+        assert record.snapshot is None
+    else:
+        assert record.snapshot.differs_from(fresh) is None
+    Sanitizer().check_tree(tree, "set-up build")
 
 
 @pytest.mark.parametrize("n", (8, 70))

@@ -552,9 +552,10 @@ def test_oids_beyond_int64_match_scalar(method, layout, monkeypatch):
 
 
 def test_unpackable_tree_is_packed_once_per_version(monkeypatch):
-    """A T_R whose oids do not fit int64 is found out where the fast
-    path packs it, once per tree version: re-joins reuse the cached
-    answer instead of rescanning the tree's oids."""
+    """A T_R whose oids do not fit int64 is found out once per tree
+    version: at set-up, where the log-first build packs it, and after a
+    write where the fast path packs it. Re-joins reuse the cached answer
+    instead of rescanning the tree's oids."""
     builds = []
     assemble = join_batch.assemble
 
@@ -568,12 +569,21 @@ def test_unpackable_tree_is_packed_once_per_version(monkeypatch):
     ws = Workspace(CFG)
     tree_r = ws.install_rtree(d_r)
     file_s = ws.install_datafile(d_s)
-    for _ in range(3):
-        ws.start_measurement()
-        result = spatial_join(
-            file_s, tree_r, ws.buffer, ws.config, ws.metrics, method="BFJ",
-        )
-        assert result.pairs
+    assert join_batch.snapshot_record(tree_r).carried
+
+    def rejoin():
+        for _ in range(3):
+            ws.start_measurement()
+            result = spatial_join(
+                file_s, tree_r, ws.buffer, ws.config, ws.metrics,
+                method="BFJ",
+            )
+            assert result.pairs
+
+    rejoin()
+    assert builds == []
+    tree_r.insert(d_r[0][0], 2**63 + 10**6)
+    rejoin()
     assert builds == [tree_r.root_id]
     assert join_batch.column_tree_of(tree_r) is None
 
