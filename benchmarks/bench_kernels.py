@@ -21,14 +21,15 @@ root:
   engine's per-phase wall clock
   (:attr:`~repro.join.result.JoinResult.phase_walls`), so the output
   shows per phase how much wall the fast path closed
-  (``scalar_s - batch_s``). Two legs: **warm** repeats share one
-  workspace (the resident steady state, where construction replay and
-  the warm plan cache hit), **cold** repeats each join in a fresh
-  workspace (the paper's regime, where no cache can hit). Each method
-  runs its warm repeats, in a fresh workspace of its own, and then its
-  cold repeats, so drift of the host over the run moves a method's two
-  legs alike instead of opening a gap between a warm half and a cold
-  half of the run.
+  (``scalar_s - batch_s``). Two legs: a **warm** repeat joins in a
+  workspace that an unmeasured join of the same method has filled (the
+  resident steady state, where construction replay and the warm plan
+  cache hit), a **cold** repeat joins in a fresh workspace (the paper's
+  regime, where no cache can hit). A method alternates single warm and
+  single cold repeats, each warm one in a workspace built and filled
+  for it, so drift of the host, even within one method's minutes of
+  repeats, moves its two legs alike instead of opening a gap between
+  them.
 
 Flags::
 
@@ -200,8 +201,14 @@ def build_env(d_r, d_s):
     return ws, tree_r, file_s
 
 
-def bench_e2e_method(env_for, method: str, repeats: int, leg: str) -> dict:
-    """Best-of-``repeats`` per mode; ``env_for()`` gives each run's
+def fixed(env):
+    """An ``env_for`` that hands back the one workspace ``env``."""
+    return lambda: env
+
+
+def run_modes(env_for, method: str) -> dict:
+    """One repeat: each mode once, interleaved, as ``{label: (wall,
+    (pairs, summary, phase walls))}``. ``env_for()`` gives each run's
     ``(ws, tree_r, file_s)`` and is called outside the timed region."""
     def run(ws, tree_r, file_s):
         ws.start_measurement()
@@ -210,40 +217,43 @@ def bench_e2e_method(env_for, method: str, repeats: int, leg: str) -> dict:
         )
         return result.pairs, ws.metrics.summary(), dict(result.phase_walls)
 
-    # Interleave the modes so slow machine-wide drift (thermal, cache,
-    # background load) hits every wall equally instead of biasing
-    # whichever block ran second; keep the best run of each mode (the
-    # best run's phase walls travel with it).
+    runs = {}
+    for label, kernels in E2E_MODES:
+        os.environ["REPRO_KERNELS"] = kernels
+        env = env_for()
+        # Collect the previous run's garbage now, not inside this
+        # run's timed region.
+        gc.collect()
+        t0 = time.perf_counter()
+        out = run(*env)
+        runs[label] = (time.perf_counter() - t0, out)
+    os.environ["REPRO_KERNELS"] = "1"
+    return runs
+
+
+def summarize(method: str, leg: str, repeats: list) -> dict:
+    """Best of the repeats per mode (the minimum is the least noisy
+    estimator; the best run's phase walls travel with it), after
+    checking that every repeat's two modes agree."""
     walls: dict[str, float] = {}
-    outputs: dict[str, tuple] = {}
     phases: dict[str, dict] = {}
-    for _ in range(repeats):
-        for label, kernels in E2E_MODES:
-            os.environ["REPRO_KERNELS"] = kernels
-            env = env_for()
-            # Collect the previous run's garbage now, not inside this
-            # run's timed region.
-            gc.collect()
-            t0 = time.perf_counter()
-            out = run(*env)
-            elapsed = time.perf_counter() - t0
-            outputs[label] = out
+    for runs in repeats:
+        (pairs_batch, summary_batch, _) = runs["batch"][1]
+        (pairs_scalar, summary_scalar, _) = runs["scalar"][1]
+        if pairs_batch != pairs_scalar:
+            raise SystemExit(
+                f"e2e {leg} {method}: batch pairs differ from scalar")
+        for field in SUMMARY_FIELDS:
+            if getattr(summary_batch, field) != getattr(summary_scalar, field):
+                raise SystemExit(
+                    f"e2e {leg} {method}: CostSummary.{field} differs "
+                    f"(batch {getattr(summary_batch, field)} vs "
+                    f"scalar {getattr(summary_scalar, field)})"
+                )
+        for label, (elapsed, out) in runs.items():
             if label not in walls or elapsed < walls[label]:
                 walls[label] = elapsed
                 phases[label] = out[2]
-    os.environ["REPRO_KERNELS"] = "1"
-
-    pairs_batch, summary_batch, _ = outputs["batch"]
-    pairs_scalar, summary_scalar, _ = outputs["scalar"]
-    if pairs_batch != pairs_scalar:
-        raise SystemExit(f"e2e {leg} {method}: batch pairs differ from scalar")
-    for field in SUMMARY_FIELDS:
-        if getattr(summary_batch, field) != getattr(summary_scalar, field):
-            raise SystemExit(
-                f"e2e {leg} {method}: CostSummary.{field} differs "
-                f"(batch {getattr(summary_batch, field)} vs "
-                f"scalar {getattr(summary_scalar, field)})"
-            )
 
     speedup = walls["scalar"] / walls["batch"]
     print(
@@ -306,28 +316,31 @@ def run(quick: bool) -> dict:
 
     d_r, d_s = make_inputs(n_r, n_s)
     for method in methods:
-        # Warm leg: every repeat in one workspace of the method's own,
-        # the resident steady state, so construction replay and warm
-        # plans count. One unmeasured join first fills its caches and
-        # warms the interpreter and allocator.
-        shared = build_env(d_r, d_s)
-        ws, tree_r, file_s = shared
-        ws.start_measurement()
-        spatial_join(file_s, tree_r, ws.buffer, ws.config, ws.metrics,
-                     method=method)
-        out["e2e"]["algorithms"][method] = bench_e2e_method(
-            lambda: shared, method, repeats, "warm",
-        )
-        # Release the warm workspace before the cold repeats: a heap it
-        # keeps alive is scanned by every collection the cold runs
-        # trigger.
-        del shared, ws, tree_r, file_s
-        gc.collect()
-        # Cold leg: every run in a fresh workspace, so nothing it joins
-        # has been seen before and no warm state can hit.
-        out["e2e"]["algorithms_cold"][method] = bench_e2e_method(
-            lambda: build_env(d_r, d_s), method, repeats, "cold",
-        )
+        legs: dict[str, list] = {"warm": [], "cold": []}
+        for _ in range(repeats):
+            # Warm repeat: a workspace of its own, the resident steady
+            # state, so construction replay and warm plans count. One
+            # unmeasured join first fills its caches and warms the
+            # interpreter and allocator.
+            shared = build_env(d_r, d_s)
+            ws, tree_r, file_s = shared
+            ws.start_measurement()
+            spatial_join(file_s, tree_r, ws.buffer, ws.config, ws.metrics,
+                         method=method)
+            legs["warm"].append(run_modes(fixed(shared), method))
+            # Release the warm workspace before the cold repeat: a heap
+            # it keeps alive is scanned by every collection the cold
+            # runs trigger.
+            del shared, ws, tree_r, file_s
+            gc.collect()
+            # Cold repeat: every run in a fresh workspace, so nothing it
+            # joins has been seen before and no warm state can hit.
+            legs["cold"].append(
+                run_modes(lambda: build_env(d_r, d_s), method))
+        out["e2e"]["algorithms"][method] = summarize(
+            method, "warm", legs["warm"])
+        out["e2e"]["algorithms_cold"][method] = summarize(
+            method, "cold", legs["cold"])
     return out
 
 

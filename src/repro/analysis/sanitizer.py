@@ -304,13 +304,16 @@ class Sanitizer:
             )
 
     def _check_rtree(self, tree: Any, where: str) -> None:
-        """Balanced R-tree: uniform leaf depth via exact level stepping."""
+        """Balanced R-tree: uniform leaf depth via exact level stepping,
+        and the node count and height the tree keeps."""
         counted = 0
+        nodes = 0
         root_id = tree.root_id
         stack: list[int] = [root_id]
         while stack:
             page_id = stack.pop()
             node: Node = tree._node_unaccounted(page_id)
+            nodes += 1
             self._check_node_common(tree, node, page_id,
                                     is_root=page_id == root_id, where=where)
             if node.is_leaf:
@@ -332,6 +335,14 @@ class Sanitizer:
                 self._check_parent_mbr(entry, child, where)
                 stack.append(entry.ref)
         self._check_count(tree, counted, where)
+        height = tree._node_unaccounted(root_id).level + 1
+        kept = (getattr(tree, "_num_nodes", nodes),
+                getattr(tree, "_height", height))
+        if kept != (nodes, height):
+            raise InvariantViolation(
+                f"tree keeps {kept[0]} nodes and height {kept[1]}, but a "
+                f"walk finds {nodes} nodes and height {height} ({where})"
+            )
 
     def _check_finished_seeded(self, tree: Any, where: str) -> None:
         """Clean-up postconditions + general well-formedness (READY)."""

@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from ..config import SystemConfig
 from ..errors import ExperimentError
@@ -32,7 +35,9 @@ from ..rtree import RTree
 from ..rtree.split import quadratic_split
 from ..seeded import CopyStrategy, UpdatePolicy
 from ..storage import BufferPool, DataFile, RecoveryPolicy
-from ..zorder.zfile import ZFile
+from ..storage.datafile import DataEntry
+from ..zorder.zfile import ObjectColumns, ZFile
+from .batch import column_tree_of, snapshot_record
 from .bfj import brute_force_join
 from .engine import (
     ExecutionContext,
@@ -131,12 +136,45 @@ def _naive_join(
     return naive_pipeline("NAIVE").execute(ctx)
 
 
+def _snapshot_objects(tree_r: RTree) -> ObjectColumns | None:
+    """``tree_r``'s objects as columns, from the snapshot it holds.
+
+    The snapshot is the one carried from the tree's build or memoised
+    by an earlier join, reassembled if the tree was written since
+    (:func:`~repro.join.batch.column_tree_of`). Its nodes are in
+    ``iter_nodes`` order, so its leaf entries are in ``all_objects()``
+    order. ``None`` when the tree has no snapshot record, or has none
+    because an object id does not fit int64.
+    """
+    if snapshot_record(tree_r) is None:
+        return None
+    snapshot = column_tree_of(tree_r)
+    if snapshot is None:
+        return None
+    leaf = snapshot.echild < 0
+    corners = np.stack((snapshot.exlo[leaf], snapshot.eylo[leaf],
+                        snapshot.exhi[leaf], snapshot.eyhi[leaf]), axis=1)
+    return ObjectColumns(corners, snapshot.eref[leaf])
+
+
 def _prepare_zfile_r(ctx: ExecutionContext) -> None:
-    """Derive the indexed side's z-file at join time (charged)."""
+    """Derive the indexed side's z-file at join time (charged).
+
+    A supplied ``data_r`` is scanned through the accounted path; the
+    tree's objects are lifted uncharged, as columns from its snapshot
+    on the fast path (:func:`_snapshot_objects`), else with
+    ``all_objects()``.
+    """
     data_r = ctx.options.get("data_r")
-    entries = (
-        data_r.scan() if data_r is not None else ctx.tree_r.all_objects()
-    )
+    columns: ObjectColumns | None = None
+    if data_r is None and ctx.mode.fast:
+        columns = _snapshot_objects(ctx.tree_r)
+    if columns is not None:
+        entries: Iterable[DataEntry] | ObjectColumns = columns
+    elif data_r is not None:
+        entries = data_r.scan()
+    else:
+        entries = ctx.tree_r.all_objects()
     ctx.options["zfile_r"] = ZFile.build(
         ctx.buffer.disk, ctx.config, entries,
         max_elements=ctx.options["max_elements"], name="Z_R",

@@ -38,7 +38,7 @@ from ..metrics import MetricsCollector, Phase
 from ..metrics.tracing import JoinTrace
 from ..storage import DataFile
 from ..storage.disk import DiskSimulator
-from ..zorder.zfile import ZEntry, ZFile, ZRun
+from ..zorder.zfile import ZEntry, ZFile, merge_key
 from .engine import ExecutionContext, JoinPhase, JoinPipeline
 from .result import JoinResult
 
@@ -139,8 +139,8 @@ def batch_merge(
     """
     s = zfile_s.read_columns()
     r = zfile_r.read_columns()
-    key_s = _merge_key(s)
-    key_r = _merge_key(r)
+    key_s = merge_key(s.zlo, s.zhi)
+    key_r = merge_key(r.zlo, r.zhi)
     # Each file's merge keys are sorted, so the cells nested in a cell
     # are one slice of the other file: those at or past its own key,
     # up to its last z-value. R cells inside (or equal to) an S cell,
@@ -166,14 +166,6 @@ def batch_merge(
         map(s.oids.__getitem__, si[hit].tolist()),
         map(r.oids.__getitem__, ri[hit].tolist()),
     )))
-
-
-def _merge_key(run: ZRun) -> np.ndarray:
-    """The merge order ``(zlo, -zhi)`` as one uint64 per row (z-values
-    have 32 bits)."""
-    zlo = run.zlo.astype(np.uint64)
-    zhi = run.zhi.astype(np.uint64)
-    return (zlo << np.uint64(32)) | (np.uint64(0xFFFFFFFF) - zhi)
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -560,19 +560,32 @@ def clipped_area_total(
     Reproduces, per cluster, the scalar chain ``Rect.from_center(cx, cy,
     w*scale, h*scale).clipped_to(window).area()`` and returns the
     sequential left-to-right sum of the areas — or ``None`` if any
-    cluster falls entirely outside the window (the scalar path raises
-    there). Summation is done over a Python list so it associates
-    exactly like the scalar ``sum()``.
+    cluster falls entirely outside the window, or if the scalar chain
+    would raise for one (a negative scaled size, or a corner that is
+    NaN, as ``inf - inf`` gives); the caller then runs the scalar chain.
+    The clip takes ``Rect.intersection``'s own comparisons, and the
+    areas are added one by one, left to right, as the scalar chain adds
+    them (``sum()`` compensates its rounding from Python 3.12 on).
     """
-    hw = (np.asarray(w, dtype=np.float64) * scale) / 2.0
-    hh = (np.asarray(h, dtype=np.float64) * scale) / 2.0
+    width = np.asarray(w, dtype=np.float64) * scale
+    height = np.asarray(h, dtype=np.float64) * scale
+    if bool(np.any((width < 0) | (height < 0))):
+        return None
+    hw = width / 2.0
+    hh = height / 2.0
     cxa = np.asarray(cx, dtype=np.float64)
     cya = np.asarray(cy, dtype=np.float64)
-    ixlo = np.maximum(cxa - hw, window.xlo)
-    iylo = np.maximum(cya - hh, window.ylo)
-    ixhi = np.minimum(cxa + hw, window.xhi)
-    iyhi = np.minimum(cya + hh, window.yhi)
+    xlo, ylo, xhi, yhi = cxa - hw, cya - hh, cxa + hw, cya + hh
+    if bool(np.any(np.isnan(xlo) | np.isnan(ylo) | np.isnan(xhi)
+                   | np.isnan(yhi))):
+        return None
+    ixlo = np.where(xlo >= window.xlo, xlo, window.xlo)
+    iylo = np.where(ylo >= window.ylo, ylo, window.ylo)
+    ixhi = np.where(xhi <= window.xhi, xhi, window.xhi)
+    iyhi = np.where(yhi <= window.yhi, yhi, window.yhi)
     if bool(np.any((ixlo > ixhi) | (iylo > iyhi))):
         return None
-    areas = ((ixhi - ixlo) * (iyhi - iylo)).tolist()
-    return sum(areas)
+    total = 0.0
+    for area in ((ixhi - ixlo) * (iyhi - iylo)).tolist():
+        total += area
+    return total

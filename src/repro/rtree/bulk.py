@@ -73,8 +73,10 @@ def bulk_load_str(
 
     count = len(level_entries)
     level = 0
+    nodes = 0
     while True:
         level_entries = _pack_level(tree, level_entries, level)
+        nodes += len(level_entries)     # one parent entry per packed node
         if len(level_entries) == 1:
             break
         level += 1
@@ -86,6 +88,8 @@ def bulk_load_str(
     tree.buffer.free([tree.root_id])
     tree.root_id = only.ref
     tree._count = count
+    tree._num_nodes = nodes
+    tree._height = level + 1
     root = tree._node_unaccounted(tree.root_id)
     if root.level != level:
         raise TreeError("bulk load produced an inconsistent root level")

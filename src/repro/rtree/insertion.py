@@ -58,13 +58,18 @@ def new_node(owner: Any, level: int, entries: list[Entry]) -> Node:
     An owner that a finished join handed back as its index keeps the
     page ids its finalizer frees (``_held_pages``, set by
     :func:`repro.join.lifetime.end_join`); a page it grows later joins
-    that list, so it goes with the index too.
+    that list, so it goes with the index too. An owner that keeps its
+    node count (an :class:`~repro.rtree.rtree.RTree`'s ``_num_nodes``)
+    counts the node here.
     """
     node = Node(level, entries)
     node.page_id = owner.buffer.new_page(PageKind.TREE_NODE, node).page_id
     held = getattr(owner, "_held_pages", None)
     if held is not None:
         held.append(node.page_id)
+    count = getattr(owner, "_num_nodes", None)
+    if count is not None:
+        owner._num_nodes = count + 1
     return node
 
 

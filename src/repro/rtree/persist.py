@@ -157,6 +157,8 @@ def load_tree(
     buffer.free([tree.root_id])  # placeholder root
     tree.root_id = page_ids[0]
     tree._count = count
+    tree._num_nodes = num_pages
+    tree._height = nodes[0].level + 1
     return tree
 
 

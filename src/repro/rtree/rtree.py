@@ -119,6 +119,12 @@ class RTree:
         root = Node(level=0)
         root.page_id = buffer.new_page(PageKind.TREE_NODE, root).page_id
         self.root_id = root.page_id
+        # Kept where nodes are made or freed and where the root changes,
+        # so the planner's metadata costs no walk: ``new_node`` counts
+        # growth; deletion, root shrinking and the bulk builders and
+        # loaders set the rest.
+        self._num_nodes = 1
+        self._height = 1
 
     # ----------------------------------------------------------------- #
     # Bulk helpers
@@ -175,11 +181,11 @@ class RTree:
     @property
     def height(self) -> int:
         """Number of levels, counting the leaf level (a 1-node tree is 1)."""
-        return self._node_unaccounted(self.root_id).level + 1
+        return self._height
 
     @property
     def root_level(self) -> int:
-        return self._node_unaccounted(self.root_id).level
+        return self._height - 1
 
     def mbr(self) -> Rect | None:
         """MBR of the whole data set (``None`` when empty); unaccounted."""
@@ -206,9 +212,10 @@ class RTree:
         machinery in :mod:`repro.rtree.insertion` does the work; a root
         split hands back a new root id.
         """
-        self.root_id = insert_into_subtree(
-            self, self.root_id, entry, target_level
-        )
+        root_id = self.root_id
+        self.root_id = insert_into_subtree(self, root_id, entry, target_level)
+        if self.root_id != root_id:
+            self._height += 1
 
     # ----------------------------------------------------------------- #
     # Queries
@@ -277,6 +284,7 @@ class RTree:
         # The orphans' entries live on in memory until re-inserted; their
         # pages are dead, in the buffer and on disk alike.
         self.buffer.free([orphan.page_id for orphan in orphans])
+        self._num_nodes -= len(orphans)
 
         # Re-insert orphaned entries at their original levels, lowest
         # levels first so the tree never has to grow to accept them.
@@ -303,6 +311,8 @@ class RTree:
             old_id = self.root_id
             self.root_id = root.entries[0].ref
             self.buffer.free([old_id])
+            self._num_nodes -= 1
+            self._height -= 1
 
     # ----------------------------------------------------------------- #
     # Introspection (unaccounted; for tests, seeding, statistics)
@@ -318,7 +328,8 @@ class RTree:
                 stack.extend(e.ref for e in node.entries)
 
     def num_nodes(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
+        """Nodes in the tree, kept as the tree changes (no walk)."""
+        return self._num_nodes
 
     def nodes_at_level(self, level: int) -> list[Node]:
         """All nodes at one level (0 = leaves); charges no I/O."""

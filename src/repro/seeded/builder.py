@@ -863,5 +863,8 @@ def build_rtree(
                       metrics)
     tree.root_id = root.page
     tree._count = tree.mutations = len(entries)
+    # The constructor's root, then every node the inserts made.
+    tree._num_nodes = 1 + len(build.created)
+    tree._height = root.level + 1
     carry_column_tree(tree, build.snapshot(root, (tree.mutations, root.page)))
     return tree

@@ -99,8 +99,9 @@ class AdmissionController:
     ) -> JoinPlan:
         """The planner's ranking for one join against a resident tree.
 
-        Reads only metadata the session already holds (tree page count
-        and height); costs no I/O.
+        Reads only metadata the tree keeps as it changes (its node count
+        and height), so pricing a request reads no page and walks no
+        node; it costs no I/O.
         """
         return plan_join(
             session.workspace.config,

@@ -140,18 +140,26 @@ def generate_clusters(config: ClusteredConfig,
     # candidate scale; the batch kernel computes it without materialising
     # Rect objects (bit-identical to the per-Rect chain — it mirrors
     # from_center/clipped_to/area expression by expression and sums
-    # left-to-right). Rects are built once, at the accepted scale.
+    # left-to-right). Where it declines, the scalar chain decides. Rects
+    # are built once, at the accepted scale.
     scale = 1.0
     for _ in range(16):
         total = clipped_area_total(cxs, cys, ws, hs, scale, area)
-        if total is None:  # centers lie inside the map
-            raise WorkloadError("cluster rectangle fell outside the map")
+        if total is None:
+            total = 0.0
+            for rect in _clipped(cxs, cys, ws, hs, scale, area):
+                total += rect.area()
         if total <= 0.0:
             raise WorkloadError("degenerate cluster sample (zero total area)")
         if abs(total - target) <= 0.005 * target:
             break
         scale *= math.sqrt(target / total)
+    return _clipped(cxs, cys, ws, hs, scale, area)
 
+
+def _clipped(cxs: list[float], cys: list[float], ws: list[float],
+             hs: list[float], scale: float, area: Rect) -> list[Rect]:
+    """The clustering rectangles at ``scale``, clipped to the map."""
     clusters: list[Rect] = []
     for cx, cy, w, h in zip(cxs, cys, ws, hs):
         rect = Rect.from_center(cx, cy, w * scale, h * scale)

@@ -17,8 +17,9 @@ benchmark.
 The decomposition rule has two implementations here. :func:`decompose`
 refines one rectangle with a Python loop; it is the scalar reference.
 :func:`decompose_batch` runs the same refinement for many rectangles at
-once, step-synchronously over numpy columns, and returns element for
-element the same covers (see its docstring for why that is exact).
+once, one quadtree generation per pass over numpy columns, and returns
+element for element the same covers (:func:`_refine_block` says why
+that is exact).
 """
 
 from __future__ import annotations
@@ -235,41 +236,32 @@ class ZCover(NamedTuple):
 
 
 def decompose_batch(
-    rects: Sequence[Rect],
+    rects: Sequence[Rect] | np.ndarray,
     max_elements: int = 4,
     map_area: Rect = MAP,
 ) -> ZCover:
     """:func:`decompose` for every rectangle of ``rects`` at once.
 
-    The result holds, rectangle by rectangle, exactly the elements
+    ``rects`` is a sequence of :class:`Rect`, or their corners as an
+    ``(n, 4)`` float64 array of ``(xlo, ylo, xhi, yhi)`` rows. The
+    result holds, rectangle by rectangle, exactly the elements
     ``[decompose(r, max_elements, map_area) for r in rects]`` would
-    return; only the coordinates go into numpy, the rectangles stay
-    Python objects. The refinement runs step-synchronously over blocks
-    of :data:`BATCH_BLOCK` rectangles: in one step, every rectangle still
-    refining splits the cell at the front of its queue, or stops for
-    good. That is exact for two reasons:
-
-    * the scalar loop is FIFO. It refines the first cell of ``partial``
-      after a stable sort by depth, and ``partial`` is already in depth
-      order: the front cell has the smallest depth ``d``, every queued
-      cell has depth ``d`` or ``d + 1``, and its children (depth
-      ``d + 1``) join at the back. The sort never moves a cell, so the
-      front of a FIFO queue per rectangle is the cell the scalar loop
-      picks;
-    * each rectangle's output is sorted by ``zlo``, so the order in
-      which the batch finds its cells does not matter.
-
-    The child tests use ``_Cell.rect``'s float expressions term for
-    term and the stop rule is the scalar one — depth at
-    :data:`RESOLUTION`, or a split that would exceed ``max_elements`` —
-    so each rectangle makes the same decisions in the same order.
+    return. The refinement runs over blocks of :data:`BATCH_BLOCK`
+    rectangles, one pass per quadtree generation
+    (:func:`_refine_block` says why that is exact); each rectangle's
+    output is sorted by ``zlo``, so the order in which a pass finds its
+    cells does not matter.
     """
     if max_elements < 1:
         raise GeometryError("max_elements must be at least 1")
-    n = len(rects)
-    coords = np.fromiter(
-        chain.from_iterable(map(_CORNERS, rects)), np.float64, 4 * n,
-    ).reshape(n, 4)
+    if isinstance(rects, np.ndarray):
+        coords = rects.astype(np.float64, copy=False).reshape(-1, 4)
+        n = len(coords)
+    else:
+        n = len(rects)
+        coords = np.fromiter(
+            chain.from_iterable(map(_CORNERS, rects)), np.float64, 4 * n,
+        ).reshape(n, 4)
     eps_x = map_area.width / (1 << RESOLUTION)
     eps_y = map_area.height / (1 << RESOLUTION)
     # The dilated rectangle's intersection with the map, with
@@ -295,7 +287,10 @@ def decompose_batch(
         )
         zlo: Any = interleave(x, y)     # elementwise on int64 columns
         zhi = zlo + (np.left_shift(1, 2 * (RESOLUTION - depth)) - 1)
-        order = np.lexsort((zlo, owner))
+        # By owner, then zlo, as one int64 key (an owner indexes the
+        # block, a z-value has _Z_BITS bits); one rectangle's cells are
+        # disjoint, so no two keys tie.
+        order = np.argsort(np.left_shift(owner, _Z_BITS) | zlo)
         owners.append(block[owner[order]])
         zlos.append(zlo[order])
         zhis.append(zhi[order])
@@ -366,117 +361,126 @@ def _refine_block(
     Returns ``(owner, x, y, depth)`` of every final cell, unsorted, with
     ``owner`` indexing the block. A rectangle's queue starts at the end
     of its single-child chain (:func:`_chain_ends`), which is where the
-    scalar loop stands once it has made those splits. From there, one
-    pass of the loop is one pass of the scalar ``while`` loop for every
-    rectangle still refining. Each rectangle's ``partial`` queue is a
-    linked list over shared cell columns (``head``/``tail``/``nxt``);
-    ``alive`` marks the cells not yet split, which are the partial cells
-    left when refinement stops.
+    scalar loop stands once it has made those splits. From there, each
+    pass of :func:`_split_generation` splits one whole quadtree
+    generation of every rectangle still refining. That is exact because
+    the scalar loop is FIFO by depth: it refines the first cell of
+    ``partial`` after a stable sort by depth, and ``partial`` is already
+    in depth order, since the front cell has the smallest depth ``d``,
+    every queued cell has depth ``d`` or ``d + 1``, and its children
+    (depth ``d + 1``) join at the back. So at the start of a pass a
+    rectangle's queue holds cells of one depth, and the scalar loop
+    splits them in queue order before it reaches any of their children.
+    Each pass deepens every rectangle by one, so a block makes at most
+    :data:`RESOLUTION` passes.
     """
-    n = len(xlo)
-    mx, my = map_area.xlo, map_area.ylo
-    scale_x = map_area.width / (1 << RESOLUTION)
-    scale_y = map_area.height / (1 << RESOLUTION)
     root = _Cell(0, 0, 0).rect(map_area)
     whole = ((xlo <= root.xlo) & (ylo <= root.ylo)
              & (root.xhi <= xhi) & (root.yhi <= yhi))
     origin = np.zeros(int(whole.sum()), dtype=np.int64)
-    done = [(np.flatnonzero(whole), origin, origin, origin)]
-    n_done = whole.astype(np.int64)
-    n_part = 1 - n_done
-
-    act = np.flatnonzero(~whole)        # rectangles still refining
-    used = act.size                     # cell slots handed out
-    cap = 4 * used + 16
-    qown = np.zeros(cap, dtype=np.int64)
-    qx = np.zeros(cap, dtype=np.int64)
-    qy = np.zeros(cap, dtype=np.int64)
-    qd = np.zeros(cap, dtype=np.int64)
-    nxt = np.full(cap, -1, dtype=np.int64)
-    alive = np.zeros(cap, dtype=bool)
-    qown[:used] = act
-    qx[:used], qy[:used], qd[:used] = _chain_ends(
-        xlo[act], ylo[act], xhi[act], yhi[act], map_area)
-    alive[:used] = True
-    head = np.full(n, -1, dtype=np.int64)
-    head[act] = np.arange(used)
-    tail = head.copy()
-
-    while act.size:
-        front = head[act]
-        depth = qd[front]
-        deep = depth >= RESOLUTION
-        if deep.any():
-            act, front, depth = act[~deep], front[~deep], depth[~deep]
-        # The four children of each front cell, in _Cell.children order,
-        # and their rectangles with _Cell.rect's float expressions.
-        fx = qx[front]
-        fy = qy[front]
-        half = np.left_shift(1, RESOLUTION - 1 - depth)
-        kx = np.stack((fx, fx + half, fx, fx + half), axis=1)
-        ky = np.stack((fy, fy, fy + half, fy + half), axis=1)
-        size = half[:, None]
-        kxlo = mx + kx * scale_x
-        kylo = my + ky * scale_y
-        kxhi = mx + (kx + size) * scale_x
-        kyhi = my + (ky + size) * scale_y
-        rxlo = xlo[act, None]
-        rylo = ylo[act, None]
-        rxhi = xhi[act, None]
-        ryhi = yhi[act, None]
-        hit = (kxlo <= rxhi) & (rxlo <= kxhi) & (kylo <= ryhi) & (rylo <= kyhi)
-        inside = (hit & (rxlo <= kxlo) & (rylo <= kylo)
-                  & (kxhi <= rxhi) & (kyhi <= ryhi))
-        # The budget: a rectangle whose split would not fit stops.
-        fits = n_done[act] + n_part[act] - 1 + hit.sum(axis=1) <= max_elements
-        if not fits.all():
-            act, front, depth = act[fits], front[fits], depth[fits]
-            kx, ky, hit, inside = kx[fits], ky[fits], hit[fits], inside[fits]
-        # Pop the front cell; children inside the rectangle are final.
-        alive[front] = False
-        head[act] = nxt[front]
-        n_part[act] -= 1
-        rows, cols = np.nonzero(inside)
-        if rows.size:
-            done.append((act[rows], kx[rows, cols], ky[rows, cols],
-                         depth[rows] + 1))
-            n_done[act] += inside.sum(axis=1)
-        # The others join the back of the queue in child order: each
-        # rectangle's new cells take consecutive slots, chained to each
-        # other and behind the rectangle's old tail.
-        edge = hit & ~inside
-        rows, cols = np.nonzero(edge)
-        k = rows.size
-        if k:
-            if used + k > cap:
-                cap = max(2 * cap, used + k)
-                qown, qx, qy, qd, nxt = (
-                    np.resize(a, cap) for a in (qown, qx, qy, qd, nxt)
-                )
-                alive = np.resize(alive, cap)
-            new = np.arange(used, used + k)
-            qown[new] = act[rows]
-            qx[new] = kx[rows, cols]
-            qy[new] = ky[rows, cols]
-            qd[new] = depth[rows] + 1
-            alive[new] = True
-            nxt[new] = new + 1
-            count = edge.sum(axis=1)
-            grew = count > 0
-            owner = act[grew]
-            count = count[grew]
-            last = used + np.cumsum(count) - 1
-            first = last - count + 1
-            nxt[last] = -1
-            was_empty = head[owner] < 0
-            head[owner[was_empty]] = first[was_empty]
-            nxt[tail[owner[~was_empty]]] = first[~was_empty]
-            tail[owner] = last
-            n_part[owner] += count
-            used += k
-        act = act[head[act] >= 0]
-
-    left = np.flatnonzero(alive[:used])
-    done.append((qown[left], qx[left], qy[left], qd[left]))
-    owner, x, y, depth = (np.concatenate(col) for col in zip(*done))
+    final = [(np.flatnonzero(whole), origin, origin, origin)]
+    own = np.flatnonzero(~whole)        # rectangles still refining
+    cells = _queue((own, *_chain_ends(xlo[own], ylo[own], xhi[own],
+                                      yhi[own], map_area)), final)
+    # Cells each rectangle holds, done and partial: one to begin with.
+    held = np.ones(len(xlo), dtype=np.int64)
+    while cells[0].size:
+        cells = _split_generation(cells, held, (xlo, ylo, xhi, yhi),
+                                  max_elements, map_area, final)
+    owner, x, y, depth = (np.concatenate(col) for col in zip(*final))
     return owner, x, y, depth
+
+
+def _queue(cells: tuple, final: list) -> tuple:
+    """The cells of ``cells = (owner, x, y, depth)`` that can still
+    split; those at :data:`RESOLUTION` go to ``final``, as the scalar
+    loop stops at the first of them."""
+    deep = cells[3] >= RESOLUTION
+    if not deep.any():
+        return cells
+    final.append(tuple(col[deep] for col in cells))
+    keep = ~deep
+    return tuple(col[keep] for col in cells)
+
+
+def _split_generation(
+    cells: tuple, held: Any, rect: tuple, max_elements: int, map_area: Rect,
+    final: list,
+) -> tuple:
+    """One generation of the scalar ``while`` loop: split the queued
+    cells ``(owner, x, y, depth)``, grouped by owner in queue order, of
+    every rectangle still refining. Final cells go to ``final``; returns
+    the next generation's queue, children in ``_Cell.children`` order
+    behind their parents' queue order.
+
+    A parent's two children on an axis share their middle edge, so the
+    three edges per axis are computed once, each with ``_Cell.rect``'s
+    float expression for it, and a child's closed hit and inside tests
+    are the products of its per-axis tests. The scalar budget check
+    before a split counts the cells the rectangle holds then, which
+    includes the splits it made earlier in this pass: a running sum per
+    rectangle, whose first violation stops the rectangle for good (the
+    scalar ``break``); that cell and the ones after it stay partial.
+    """
+    own, x, y, depth = cells
+    xlo, ylo, xhi, yhi = (col[own] for col in rect)
+    scale_x = map_area.width / (1 << RESOLUTION)
+    scale_y = map_area.height / (1 << RESOLUTION)
+    half = np.left_shift(1, RESOLUTION - 1 - depth)
+    ex = [map_area.xlo + grid * scale_x for grid in (x, x + half, x + 2 * half)]
+    ey = [map_area.ylo + grid * scale_y for grid in (y, y + half, y + 2 * half)]
+    # Lower and upper child per axis: Rect.intersects, then
+    # Rect.contains on top of it.
+    hx = [(ex[k] <= xhi) & (xlo <= ex[k + 1]) for k in (0, 1)]
+    hy = [(ey[k] <= yhi) & (ylo <= ey[k + 1]) for k in (0, 1)]
+    ix = [hx[k] & (xlo <= ex[k]) & (ex[k + 1] <= xhi) for k in (0, 1)]
+    iy = [hy[k] & (ylo <= ey[k]) & (ey[k + 1] <= yhi) for k in (0, 1)]
+
+    grow = (hx[0] + hx[1].astype(np.int64)) * (hy[0] + hy[1].astype(np.int64))
+    grow -= 1
+    # A rectangle's cells are consecutive; the growth of its splits so
+    # far, this one included, is a running sum over them.
+    first = np.ones(own.size, dtype=bool)
+    first[1:] = own[1:] != own[:-1]
+    starts = np.flatnonzero(first)
+    run_of = np.cumsum(first) - 1
+    running = np.cumsum(grow)
+    running -= (running - grow)[starts][run_of]
+    over = held[own] + running > max_elements
+    # What each rectangle holds after the pass (read again only for
+    # those that did not stop).
+    ends = np.append(starts[1:], own.size) - 1
+    held[own[ends]] += running[ends]
+    split: Any = slice(None)
+    halted: Any = None
+    if over.any():
+        stops = np.cumsum(over)
+        stops -= (stops - over)[starts][run_of]
+        split = stops == 0
+        stay = ~split
+        final.append((own[stay], x[stay], y[stay], depth[stay]))
+        halted = own[over]
+        own, x, y, depth, half = (
+            col[split] for col in (own, x, y, depth, half))
+
+    # The four children in _Cell.children order: x varies fastest.
+    hit = np.stack([hx[i][split] & hy[j][split]
+                    for j in (0, 1) for i in (0, 1)], axis=1)
+    inside = np.stack([ix[i][split] & iy[j][split]
+                       for j in (0, 1) for i in (0, 1)], axis=1)
+    kids: list[tuple] = []
+    for which in (inside, hit & ~inside):
+        rows, cols = np.nonzero(which)
+        kids.append((own[rows], x[rows] + half[rows] * (cols & 1),
+                     y[rows] + half[rows] * (cols >> 1), depth[rows] + 1))
+    final.append(kids[0])
+    partial = kids[1]
+    if halted is not None:
+        # A rectangle that stopped in this pass keeps the partial
+        # children of the cells it split before stopping.
+        stopped = np.zeros(held.size, dtype=bool)
+        stopped[halted] = True
+        halt = stopped[partial[0]]
+        final.append(tuple(col[halt] for col in partial))
+        partial = tuple(col[~halt] for col in partial)
+    return _queue(partial, final)

@@ -11,25 +11,28 @@ An entry costs 8 bytes of z-interval, a 16-byte bounding box (kept for
 the exact post-merge test) and a 4-byte oid = 28 bytes, so a 512 B page
 holds 17 entries and a 1 KiB page 35.
 
-A page holds its entries as columns (:class:`ZRun`): numpy slices of
+The file's entries are one run of columns (:class:`ZRun`): numpy
 ``zlo``, ``zhi`` and the four bounding-box coordinates, plus a list of
-the Python-int oids. A page is then a constant number of objects the
-garbage collector tracks, where a list of :class:`ZEntry` rows was two
-per element; :meth:`ZRun.entries` still gives the rows.
+the Python-int oids. A page holds a :class:`ZSlice` of that run, its
+``(run, start, stop)`` rows, so a page is a constant number of objects
+the garbage collector tracks, where a list of :class:`ZEntry` rows was
+two per element; :attr:`ZSlice.entries` still gives the rows.
 
 Building a z-file has two paths, picked by ``fast``. The fast path
 decomposes every rectangle at once (:func:`~repro.zorder.curve
-.decompose_batch`) and orders the elements with one stable
-``np.lexsort``; ``fast=False`` runs the scalar reference, one
-:func:`~repro.zorder.curve.decompose` call per rectangle and a list
-sort, and converts the sorted list to columns. Both write the same
-entries in the same order on the same pages.
+.decompose_batch`) and orders the elements with one stable argsort of
+the merge key (:func:`merge_key`); ``fast=False`` runs the scalar
+reference, one :func:`~repro.zorder.curve.decompose` call per rectangle
+and a list sort, and converts the sorted list to columns. Both write the
+same entries in the same order on the same pages. The fast path also
+takes the objects as columns (:class:`ObjectColumns`), such as the leaf
+entries of a tree's columnar snapshot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,6 +124,45 @@ class ZRun:
         ]
 
 
+class ZSlice(NamedTuple):
+    """One z-file page's payload: rows ``start:stop`` of the file's run."""
+
+    run: ZRun
+    start: int
+    stop: int
+
+    def columns(self) -> ZRun:
+        """The page's rows as a run of their own (numpy views)."""
+        return self.run[self.start:self.stop]
+
+    @property
+    def entries(self) -> list[ZEntry]:
+        """The rows as :class:`ZEntry` values (built on each call)."""
+        return self.columns().entries
+
+
+class ObjectColumns(NamedTuple):
+    """Data objects as columns: row ``i`` of the ``(n, 4)`` float64
+    ``corners`` is the ``(xlo, ylo, xhi, yhi)`` of object ``oids[i]``;
+    ``oids`` is an int64 array."""
+
+    corners: np.ndarray
+    oids: np.ndarray
+
+    def rows(self) -> list[DataEntry]:
+        """The objects as ``(rect, oid)`` rows."""
+        return [(Rect(*row), oid) for row, oid in
+                zip(self.corners.tolist(), self.oids.tolist())]
+
+
+def merge_key(zlo: np.ndarray, zhi: np.ndarray) -> np.ndarray:
+    """The merge order ``(zlo, -zhi)`` as one uint64 per row (z-values
+    have 32 bits)."""
+    key = zlo.astype(np.uint64) << np.uint64(32)
+    key |= np.uint64(0xFFFFFFFF) - zhi.astype(np.uint64)
+    return key
+
+
 class ZFile:
     """A z-ordered element file over one spatial data set."""
 
@@ -133,6 +175,7 @@ class ZFile:
         num_entries: int,
         num_objects: int,
         name: str = "",
+        run: ZRun | None = None,
     ):
         self.disk = disk
         self.config = config
@@ -141,6 +184,8 @@ class ZFile:
         self.num_entries = num_entries
         self.num_objects = num_objects
         self.name = name
+        #: The run the pages slice, so a read of them needs no concat.
+        self._run = run
 
     @staticmethod
     def page_capacity(config: SystemConfig) -> int:
@@ -151,7 +196,7 @@ class ZFile:
         cls,
         disk: DiskSimulator,
         config: SystemConfig,
-        entries: Iterable[DataEntry],
+        entries: Iterable[DataEntry] | ObjectColumns,
         max_elements: int = 4,
         name: str = "",
         fast: bool | None = None,
@@ -167,24 +212,38 @@ class ZFile:
         if fast is None:
             fast = kernels_enabled()
         if fast:
+            rects: Any
+            oids: Any
+            if isinstance(entries, ObjectColumns):
+                rects, oids = entries
+            else:
+                rows = list(entries)
+                rects = [rect for rect, _ in rows]
+                oids = [oid for _, oid in rows]
+            cover = decompose_batch(rects, max_elements)
+            num_objects = cover.size
             # The scalar path appends each object's elements (sorted by
             # zlo) in input order, then sorts stably by (zlo, -zhi), so
-            # ties between objects keep input order: one stable lexsort
-            # on (zlo, -zhi, input position) is the same order.
-            rows = list(entries)
-            num_objects = len(rows)
-            cover = decompose_batch([rect for rect, _ in rows], max_elements)
-            order = np.lexsort((cover.owner, -cover.zhi, cover.zlo))
+            # ties between objects keep input order. The cover's rows
+            # are grouped by object in input order, so one stable
+            # argsort of the merge key is the same order.
+            order = np.argsort(merge_key(cover.zlo, cover.zhi),
+                               kind="stable")
             owner = cover.owner[order]
             corners = cover.corners
-            oids = [oid for _, oid in rows]
+            if isinstance(oids, np.ndarray):
+                run_oids = oids[owner].tolist()
+            else:
+                run_oids = list(map(oids.__getitem__, owner.tolist()))
             run = ZRun(
                 cover.zlo[order], cover.zhi[order],
                 corners[:, 0][owner], corners[:, 1][owner],
                 corners[:, 2][owner], corners[:, 3][owner],
-                list(map(oids.__getitem__, owner.tolist())),
+                run_oids,
             )
         else:
+            if isinstance(entries, ObjectColumns):
+                entries = entries.rows()
             z_entries = []
             num_objects = 0
             for rect, oid in entries:
@@ -205,12 +264,12 @@ class ZFile:
         first_id = disk.allocate(num_pages)
         pages = [
             Page(first_id + i, PageKind.DATA,
-                 run[i * capacity:(i + 1) * capacity])
-            for i in range(num_pages)
+                 ZSlice(run, start, min(start + capacity, num_entries)))
+            for i, start in enumerate(range(0, num_entries, capacity))
         ]
         disk.write_run(pages)
         return cls(disk, config, first_id, num_pages, num_entries,
-                   num_objects, name=name)
+                   num_objects, name=name, run=run)
 
     def scan(self) -> Iterator[ZEntry]:
         """Stream the elements in z-order (one sequential sweep)."""
@@ -221,13 +280,19 @@ class ZFile:
 
     def read_columns(self) -> ZRun:
         """The whole file as one run of columns (one sequential sweep,
-        charged exactly as :meth:`scan`)."""
+        charged exactly as :meth:`scan`).
+
+        Every page is read; when each holds a slice of the file's own
+        run, that run is the answer as it stands, otherwise the pages'
+        rows are concatenated.
+        """
         if self.num_pages == 0:
             return ZRun.of_entries([])
-        return ZRun.concat([
-            page.payload
-            for page in self.disk.read_run(self.first_page_id, self.num_pages)
-        ])
+        pages = self.disk.read_run(self.first_page_id, self.num_pages)
+        run = self._run
+        if run is not None and all(page.payload.run is run for page in pages):
+            return run
+        return ZRun.concat([page.payload.columns() for page in pages])
 
     @property
     def redundancy(self) -> float:

@@ -9,20 +9,27 @@ representations and on both sides of the size thresholds
 (``NUMPY_MIN_N``, and the split's numpy PickSeeds at 16 rows). Areas,
 enlargements and wasted areas then overflow to ±inf or NaN. Each kernel
 either declines (``None``, so its caller runs the scalar loop) or
-equals its scalar twin exactly.
+equals its scalar twin exactly. ``clipped_area_total`` (the workload
+generator's cluster areas) is drawn centers and sizes from the same
+values and from the window's own edges, against windows on and around
+the unit map.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import GeometryError
 from repro.geometry import Rect
 from repro.kernels import (
     NUMPY_MIN_N,
     RectArray,
+    clipped_area_total,
     intersect_indices,
     quadratic_split_indices,
 )
@@ -128,3 +135,78 @@ def test_batch_merge_agrees(s_rects, r_rects, shared, budget):
     s = [(rect, i) for i, rect in enumerate(s_rects)]
     r = [(rect, 10_000 + i) for i, rect in enumerate(r_rects)]
     assert_merges_agree(s, r, budget)
+
+
+#: Windows on and around the unit map: the map itself, one that ends
+#: where it begins, and windows out to the float limit and to infinity.
+WINDOWS = (
+    Rect(0.0, 0.0, 1.0, 1.0), Rect(-1.0, -1.0, 0.0, 0.0),
+    Rect(-1e308, -1e308, 1e308, 1e308), Rect(-MAX, -MAX, MAX, MAX),
+    Rect(-INF, -INF, INF, INF),
+)
+
+
+@st.composite
+def cluster_cases(draw):
+    """Centers at the extremes or on the window's edges, sizes at the
+    extremes (negative ones included), and a scale."""
+    window = draw(st.sampled_from(WINDOWS))
+    edges = (window.xlo, window.ylo, window.xhi, window.yhi)
+    center = st.one_of(value, st.sampled_from(edges),
+                       st.sampled_from(EXTREMES).map(lambda v: -v))
+    size = st.one_of(value, st.sampled_from(EXTREMES))
+    n = draw(st.integers(1, 6))
+    columns = [[draw(axis) for _ in range(n)]
+               for axis in (center, center, size, size)]
+    scale = draw(st.sampled_from((1.0, 0.5, 3.0, 1e-300, 1e300)))
+    return (*columns, scale, window)
+
+
+def _scalar_clipped_total(cx, cy, w, h, scale, window):
+    """The scalar chain summed left to right; ``None`` when a cluster
+    falls outside the window, ``GeometryError`` when one is malformed."""
+    total = 0
+    for k in range(len(cx)):
+        clipped = Rect.from_center(
+            cx[k], cy[k], w[k] * scale, h[k] * scale).clipped_to(window)
+        if clipped is None:
+            return None
+        total += clipped.area()
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cluster_cases())
+def test_clipped_area_total_declines_or_agrees(case):
+    try:
+        want = _scalar_clipped_total(*case)
+    except GeometryError:
+        want = GeometryError
+    got = clipped_area_total(*case)
+    if got is None or want is None:
+        assert want in (None, GeometryError) or got is None
+        return
+    assert want is not GeometryError, f"kernel gave {got} for a malformed box"
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("case", (
+    # A negative size so small that halving it rounds to -0.0.
+    ([0.0], [0.0], [0.0], [-5e-324], 1.0, WINDOWS[0]),
+    # A center and a size at infinity: the low corner is inf - inf.
+    ([INF], [0.5], [INF], [0.1], 1.0, WINDOWS[-1]),
+))
+def test_clipped_area_total_declines_where_the_scalar_chain_raises(case):
+    with pytest.raises(GeometryError):
+        _scalar_clipped_total(*case)
+    assert clipped_area_total(*case) is None
+
+
+def test_clipped_area_total_adds_left_to_right():
+    """Two areas of half an ulp of the first one vanish one by one, as
+    the scalar chain adds them; a compensated sum (``sum()`` from
+    Python 3.12 on) would keep them."""
+    case = ([0.5] * 3, [0.5] * 3, [1.0, 2.0**-26, 2.0**-26],
+            [1.0, 2.0**-27, 2.0**-27], 1.0, WINDOWS[0])
+    assert _scalar_clipped_total(*case) == 1.0
+    assert clipped_area_total(*case) == 1.0

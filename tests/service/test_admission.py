@@ -3,11 +3,16 @@ the overload ladder, and deadline semantics."""
 
 from __future__ import annotations
 
+import random
+from unittest import mock
+
 import pytest
 
 from repro.config import SystemConfig
 from repro.errors import DeadlineExceededError
 from repro.geometry import Rect
+from repro.join.planner import plan_join
+from repro.rtree import RTree
 from repro.service import (
     Action,
     AdmissionController,
@@ -16,9 +21,11 @@ from repro.service import (
     LoadShedder,
     PressureLevel,
     RequestBudget,
+    UpdateRequest,
     WindowQueryRequest,
     WorkspaceRegistry,
 )
+from repro.workload.updates import DELETE, INSERT, MOVE, UpdateOp
 
 from ..conftest import random_entries
 
@@ -101,6 +108,85 @@ class TestAdmission:
         req = _join(100, method="NAIVE")
         assert unlimited.assess(session, req).action is Action.ADMIT
         assert bounded.assess(session, req).action is Action.REJECT
+
+
+class WalkedAdmission(AdmissionController):
+    """The controller priced from a walk of the tree, as before the tree
+    kept its node count and height."""
+
+    def plan_for(self, session, n_s):
+        tree = session.tree
+        return plan_join(
+            session.workspace.config, n_s=n_s,
+            tree_r_pages=sum(1 for _ in tree.iter_nodes()),
+            tree_r_height=tree._node_unaccounted(tree.root_id).level + 1,
+        )
+
+
+def _update_traffic(session, rng: random.Random, batches: int) -> None:
+    live = dict((oid, rect) for rect, oid in session.tree.all_objects())
+    next_oid = 10**6
+    for _ in range(batches):
+        ops = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.choice((INSERT, DELETE, MOVE))
+            if kind == INSERT or not live:
+                x, y = rng.random(), rng.random()
+                rect = Rect(x, y, x + 0.02, y + 0.02)
+                ops.append(UpdateOp(INSERT, next_oid, rect))
+                live[next_oid] = rect
+                next_oid += 1
+                continue
+            oid = rng.choice(list(live))
+            rect = live.pop(oid)
+            if kind == DELETE:
+                ops.append(UpdateOp(DELETE, oid, rect))
+            else:
+                x, y = rng.random(), rng.random()
+                live[oid] = Rect(x, y, x + 0.01, y + 0.01)
+                ops.append(UpdateOp(MOVE, oid, rect, live[oid]))
+        session.apply_updates(ops)
+
+
+class TestAdmissionMetadata:
+    """Admission prices joins from the node count and height the tree
+    keeps: no page is read on the event loop, and every decision is the
+    one a walked count gives."""
+
+    @pytest.fixture(scope="class")
+    def written(self):
+        registry = WorkspaceRegistry(
+            SystemConfig(page_size=512, buffer_pages=64))
+        session = registry.create("meta", random_entries(2000, seed=15))
+        _update_traffic(session, random.Random(4), 120)
+        return session
+
+    def test_assess_reads_no_page(self, written):
+        requests = [
+            _join(300), _join(300, method="BFJ"),
+            WindowQueryRequest("meta", Rect(0.1, 0.1, 0.2, 0.2)),
+            UpdateRequest("meta", [UpdateOp(INSERT, 1, Rect(0, 0, 0, 0))]),
+        ]
+        ctrl = AdmissionController(RequestBudget(max_predicted_io=50.0))
+        with mock.patch.object(RTree, "_node_unaccounted",
+                               side_effect=AssertionError("page read")), \
+                mock.patch.object(RTree, "iter_nodes",
+                                  side_effect=AssertionError("walk")):
+            for request in requests:
+                ctrl.assess(written, request)
+
+    @pytest.mark.parametrize("budget", (None, 5.0, 20.0, 60.0, 200.0, 1e4))
+    @pytest.mark.parametrize("allow_downgrade", (True, False))
+    def test_decisions_equal_walked_count(self, written, budget,
+                                          allow_downgrade):
+        kept = AdmissionController(RequestBudget(budget, allow_downgrade))
+        walked = WalkedAdmission(RequestBudget(budget, allow_downgrade))
+        requests = [_join(n, method=m) for n in (20, 200, 2000)
+                    for m in ("STJ1-2N", "RTJ", "BFJ", "ZJOIN")]
+        requests += [WindowQueryRequest("meta", Rect(0.1, 0.1, 0.2, 0.2))]
+        for request in requests:
+            assert kept.assess(written, request) == walked.assess(
+                written, request)
 
 
 class TestLoadShedder:

@@ -453,8 +453,9 @@ def test_plan_reuse_survives_key_collisions(method, monkeypatch,
         _assert_legs_agree(fast, scalar, f"join {i}: ")
 
 
-#: The sanitized legs cover every method that builds log-first, and BFJ.
-SANITIZED_METHODS = ("STJ", "BFJ", "RTJ", "2STJ")
+#: The sanitized legs cover every method that builds log-first, BFJ,
+#: and ZJOIN, which lifts T_R's objects from its snapshot.
+SANITIZED_METHODS = ("STJ", "BFJ", "RTJ", "2STJ", "ZJOIN")
 
 
 @pytest.mark.parametrize("method", SANITIZED_METHODS)

@@ -336,3 +336,104 @@ def test_decompose_batch_between_root_cell_and_map_edge():
 def test_decompose_batch_of_nothing():
     batch = decompose_batch([])
     assert batch.size == 0 and batch.lists() == []
+
+
+# --------------------------------------------------------------------- #
+# Refinement by generation
+# --------------------------------------------------------------------- #
+
+GRID = 1 << RESOLUTION
+
+
+def _ticks(x0: int, y0: int, x1: int, y1: int) -> Rect:
+    """A rectangle on the unit map, corners in grid units."""
+    return Rect(x0 / GRID, y0 / GRID, x1 / GRID, y1 / GRID)
+
+
+def _count_passes(passes: list):
+    """Spies on one block's refinement: ``passes`` gets one list per
+    block, holding ``(owners in, owners handed on)`` per generation."""
+    refine, split = curve._refine_block, curve._split_generation
+
+    def refine_block(*args):
+        passes.append([])
+        return refine(*args)
+
+    def split_generation(cells, *args):
+        queue = split(cells, *args)
+        passes[-1].append((set(cells[0].tolist()), set(queue[0].tolist())))
+        return queue
+
+    return (mock.patch.object(curve, "_refine_block", refine_block),
+            mock.patch.object(curve, "_split_generation", split_generation))
+
+
+def test_one_pass_stops_on_budget_and_depth_and_runs_on():
+    """In the second pass of one block, at budget 8: a 40-unit box stops
+    on the budget part way through its queue (it keeps a depth-11 cell
+    beside split depth-12 ones, and a larger budget changes its cover),
+    a point on the map's left edge reaches depth 16 (more budget changes
+    nothing), and a band across the map's centre runs on. Every cover is
+    the scalar loop's."""
+    band = _ticks(GRID // 8, GRID // 2 - 3, 7 * GRID // 8, GRID // 2 + 3)
+    point = _ticks(0, 4002, 0, 4002)
+    box = _ticks(GRID // 3, GRID // 3, GRID // 3 + 40, GRID // 3 + 40)
+    rects = [band, point, box]
+    passes: list = []
+    spy_refine, spy_split = _count_passes(passes)
+    with spy_refine, spy_split:
+        cover = decompose_batch(rects, 8)
+    assert cover.lists() == [decompose(r, 8) for r in rects]
+    [block] = passes
+    assert block[1] == ({0, 1, 2}, {0})
+    assert {e.depth for e in decompose(box, 8)} == {11, 12}
+    assert decompose(box, 9) != decompose(box, 8)
+    assert max(e.depth for e in decompose(point, 8)) == RESOLUTION
+    assert decompose(point, 64) == decompose(point, 8)
+    assert len(block) > 2
+
+
+def test_a_block_makes_at_most_resolution_passes():
+    """Each pass deepens every rectangle in the block by one generation.
+    A short line through the map's centre starts at the root and, with
+    budget to spare, refines to depth 16: exactly RESOLUTION passes,
+    with the point and the box of the previous test in the same block."""
+    line = _ticks(GRID // 2, GRID // 2 - 32, GRID // 2, GRID // 2 + 32)
+    rects = [line, _ticks(0, 4002, 0, 4002),
+             _ticks(GRID // 3, GRID // 3, GRID // 3 + 40, GRID // 3 + 40)]
+    passes: list = []
+    spy_refine, spy_split = _count_passes(passes)
+    with spy_refine, spy_split:
+        cover = decompose_batch(rects, 4096)
+    assert cover.lists() == [decompose(r, 4096) for r in rects]
+    [block] = passes
+    assert len(block) == RESOLUTION
+    assert max(e.depth for e in decompose(line, 4096)) == RESOLUTION
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_no_block_makes_more_than_resolution_passes(data):
+    map_area = data.draw(st.sampled_from(PARITY_MAPS), label="map_area")
+    rects = data.draw(st.lists(parity_rects(map_area), max_size=12),
+                      label="rects")
+    budget = data.draw(st.sampled_from((1, 4, 64, 4096)),
+                       label="max_elements")
+    passes: list = []
+    spy_refine, spy_split = _count_passes(passes)
+    with spy_refine, spy_split:
+        decompose_batch(rects, budget, map_area)
+    assert all(len(block) <= RESOLUTION for block in passes)
+
+
+def test_child_edges_are_cell_rect_floats():
+    """On a map whose grid unit is not a binary fraction, edges computed
+    by another float expression than ``_Cell.rect``'s (a child's upper
+    edge as its lower edge plus its size, say) round differently. This
+    point on the map's bottom edge is one where a closed test then
+    flips and the cover changes."""
+    map_area = PARITY_MAPS[-1]
+    rect = Rect.point(0.16562500000000002, 0.2)
+    for budget in (1, 3, 4, 16):
+        assert (decompose_batch([rect], budget, map_area).lists()
+                == [decompose(rect, budget, map_area)])

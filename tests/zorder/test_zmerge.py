@@ -134,9 +134,9 @@ def test_empty_files(sides):
 
 
 def test_fast_build_allocates_per_page_not_per_element():
-    """The fast build keeps entries in numpy columns: a page adds a few
-    objects the garbage collector tracks (the page, its run, its oid
-    list), not two per element as a list of ZEntry rows did."""
+    """The fast build keeps entries in numpy columns: a page adds two
+    objects the garbage collector tracks (the page and its slice of the
+    file's run), not two per element as a list of ZEntry rows did."""
     entries = random_entries(500, seed=31, side=0.05)
     disk = DiskSimulator(MetricsCollector(CFG))
     ZFile.build(disk, CFG, entries, fast=True)      # warm any lazy state
@@ -149,4 +149,4 @@ def test_fast_build_allocates_per_page_not_per_element():
     finally:
         gc.enable()
     assert zfile.num_entries > 4 * zfile.num_pages
-    assert added <= 4 * zfile.num_pages + 16
+    assert added <= 2 * zfile.num_pages + 16
