@@ -146,8 +146,8 @@ def bench_micro_size(n: int) -> dict:
     ref_idx = [(ia, ib) for (ia, _), (ib, _) in ref]
 
     t0 = time.perf_counter()
-    arr_a = RectArray.from_rects(rects_a, backend="numpy")
-    arr_b = RectArray.from_rects(rects_b, backend="numpy")
+    arr_a = RectArray.from_rects(rects_a)
+    arr_b = RectArray.from_rects(rects_b)
     build_s = time.perf_counter() - t0
 
     def batch():

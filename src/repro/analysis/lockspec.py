@@ -10,8 +10,12 @@ module is the single checked-in statement of the order they may nest:
   maintenance against one workspace.
 * ``pool`` — ``WorkerPool._lock`` serialises dispatch over one pool.
 * ``dataset`` — ``DatasetCache._lock`` guards the published-segment
-  cache (the pool publishes datasets while dispatching, so it nests
-  *inside* the pool lock).
+  cache. The executor publishes a join's dataset before the pool lock
+  is taken, so the two never nest today; ``dataset`` is ordered after
+  ``pool`` so that a pool may still consult the cache while it
+  dispatches. A pooled service join holds ``session`` while it
+  publishes and while it dispatches, which records ``session →
+  dataset`` and ``session → pool``.
 * ``metrics`` — ``ServiceMetrics._lock`` is a strict leaf: nothing may
   be acquired while it is held, so a metrics record can be dropped into
   any code path without deadlock risk.

@@ -1131,15 +1131,15 @@ class SharedColumnWrite(Rule):
     """Shared-memory columns are written only while being created.
 
     The pool's correctness story (``repro.parallel``) rests on published
-    columns being immutable after :meth:`SharedRectBuffer.create`
+    columns being immutable after :meth:`SharedSegment.create`
     returns: attachers map read-only views, the dataset cache detects
     change through *stamps*, and no coherence protocol exists. A store
     into a column attribute — ``something.xlo[i] = v`` or
     ``dataset.oids_r.values[i] = v`` — would race every attached process
     and silently desynchronise workers from the parent. The owning
-    create path writes through a local ``memoryview`` of the raw
-    segment *before* any view exists, so this rule flags exactly the
-    dangerous pattern and costs the implementation nothing.
+    create path writes through a local array over the raw segment
+    *before* any view exists, so this rule flags exactly the dangerous
+    pattern and costs the implementation nothing.
 
     Re-enabling numpy writability on a view (``x.flags.writeable =
     True``) is the loophole that would defeat the runtime read-only
@@ -1151,16 +1151,15 @@ class SharedColumnWrite(Rule):
     title = "write to a shared/attached column view"
 
     #: Attribute names that expose column views: the four coordinate
-    #: columns of RectArray/SharedRectArray and SharedInts.values.
+    #: columns of RectArray/SharedRectArray and SharedSegment.values.
     _COLUMNS = ("xlo", "ylo", "xhi", "yhi", "values")
 
     def applies(self) -> bool:
-        # The column implementations themselves are the owners: create
-        # paths fill segments before publication (attached views are
-        # read-only, so a write raises off-owner at runtime).
+        # The segment implementation itself is the owner: its create
+        # path fills a segment before publication (every view is
+        # read-only, so a write raises at runtime).
         return not (
             self.ctx.is_test
-            or self.ctx.is_repro_module("kernels/rect_array.py")
             or self.ctx.is_repro_module("parallel/shm.py")
         )
 
@@ -1365,7 +1364,7 @@ class LockOrderDiscipline(Rule):
 
 #: Classes whose ``create``/``attach`` classmethods mint shared segments.
 _SHM_FACTORY_CLASSES = frozenset(
-    {"SharedMemory", "SharedInts", "SharedRectBuffer", "SharedRectArray"}
+    {"SharedMemory", "SharedSegment", "SharedRectArray"}
 )
 
 

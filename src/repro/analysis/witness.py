@@ -26,10 +26,11 @@ worker processes usually — only ensures the file exists, never
 rewrites it). CI points the witness-armed suite legs at one file and
 then runs ``repro-lint --check-witness <path>``, which replays every
 recorded edge against the declared lattice: the static spec and the
-runtime observations must agree or the job fails. An *empty* edge set
-passes vacuously — the repo's critical sections are deliberately
-single-domain, so most runs nest nothing — while a missing or
-unreadable file fails as a mis-wired harness.
+runtime observations must agree or the job fails. Most critical
+sections are single-domain, so most runs nest nothing; a pooled
+service join nests ``session → dataset`` and ``session → pool``, and
+the service chaos leg runs one. An empty edge set passes vacuously,
+while a missing or unreadable file fails as a mis-wired harness.
 """
 
 from __future__ import annotations

@@ -77,9 +77,6 @@ class IncrementalJoin:
     def retree_s(self, tree_s: SeededTree | RTree) -> None:
         self.tree_s = tree_s
 
-    def retree_r(self, tree_r: RTree) -> None:
-        self.tree_r = tree_r
-
     # ------------------------------------------------------------- #
     # Update application (stream listeners)
     # ------------------------------------------------------------- #

@@ -34,10 +34,6 @@ class Claim:
     profiles: tuple[str, ...] = ()   # empty = applies to every profile
 
 
-def _stj_variants(result: TableResult) -> list[str]:
-    return [r.algorithm for r in result.rows if r.algorithm.startswith("STJ")]
-
-
 def _best_stj(result: TableResult) -> float:
     return min(
         r.summary.total_io for r in result.rows

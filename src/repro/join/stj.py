@@ -74,8 +74,8 @@ def _construct(ctx: ExecutionContext) -> None:
     # knobs): a cold build runs off the buffer and replays its own
     # effect log (repro.seeded.builder), and a resident workspace
     # re-joining the same inputs replays that log again instead of
-    # building (repro.seeded.replay). Recovery, tracing, fault-injected
-    # and kernels-off runs all take the per-object body.
+    # building (repro.seeded.replay). Recovery, fault-injected,
+    # deadline-bound and kernels-off runs take the per-object body.
     cached_construct(ctx, _build)
 
 

@@ -14,12 +14,11 @@ Layout
   decomposition, which lives with the scalar rule in
   :mod:`repro.zorder.curve`).
 * :mod:`~repro.kernels.rect_array` — :class:`RectArray`, the parallel
-  ``xlo/ylo/xhi/yhi`` coordinate columns, with a small-array heuristic
-  that keeps node-sized arrays on list columns where numpy's per-call
-  overhead would dominate.
+  ``xlo/ylo/xhi/yhi`` coordinate columns as numpy float64 arrays.
 * :mod:`~repro.kernels.batch` — the batch kernels: intersect-filter,
-  MBR-of-slice, least-enlargement scan, center-distance scan, the
-  analytic plane sweep, the Guttman quadratic split, and the workload
+  MBR-of-slice, least-enlargement scan, center-distance scan and the
+  analytic plane sweep over :class:`RectArray` columns, the Guttman
+  quadratic split over one node's coordinate lists, and the workload
   generator's clipped-area sum.
 * :mod:`~repro.kernels.node_store` — :class:`ColumnTree`, the
   level-order struct-of-arrays snapshot of a built tree, plus the
@@ -51,23 +50,13 @@ from .node_store import (
     build_window_plans,
     sweep_pairs_segmented,
 )
-from .rect_array import (
-    NUMPY_MIN_N,
-    RectArray,
-    SharedRectArray,
-    SharedRectBuffer,
-    SharedRectDescriptor,
-)
+from .rect_array import RectArray
 
 __all__ = [
     "BACKEND",
     "ColumnTree",
     "MatchPlan",
-    "NUMPY_MIN_N",
     "RectArray",
-    "SharedRectArray",
-    "SharedRectBuffer",
-    "SharedRectDescriptor",
     "WindowPlan",
     "all_points",
     "batch_enabled",

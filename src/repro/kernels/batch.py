@@ -15,15 +15,16 @@ workload generator). :func:`mbr_of`, :func:`least_enlargement_index`,
 probe list (``perfbench/probes.py``) resolves them by name, so they
 retire with that list.
 
-Two implementations back each kernel: a numpy one (used when the
-operands carry numpy columns) and a pure-Python one over the list
-columns that node-sized arrays use. The numpy paths restrict
-themselves to elementwise IEEE-754 operations that mirror the scalar expression
-trees exactly (``minimum``/``maximum``, elementwise ``*``/``-``,
-comparisons, ``searchsorted``), so no float can differ in even the
-last ulp; reductions that would reassociate additions (``ndarray.sum``
-pairwise summation) are never used where the scalar path summed
-sequentially.
+The kernels run on numpy columns. They restrict themselves to
+elementwise IEEE-754 operations that mirror the scalar expression trees
+exactly (``minimum``/``maximum``, elementwise ``*``/``-``, comparisons,
+``searchsorted``), so no float can differ in even the last ulp;
+reductions that would reassociate additions (``ndarray.sum`` pairwise
+summation) are never used where the scalar path summed sequentially.
+The quadratic split runs on one node's entries instead (at most a few
+dozen): it takes the node's coordinate lists as they are and uses
+numpy only for PickSeeds' pair matrix, once the node is large enough
+to pay for it.
 
 Analytic sweep accounting
 -------------------------
@@ -70,27 +71,19 @@ __all__ = [
 # Intersection filter
 # --------------------------------------------------------------------- #
 
-def intersect_indices(arr: RectArray, rect: Rect) -> Sequence[int]:
+def intersect_indices(arr: RectArray, rect: Rect) -> Any:
     """Indices of rectangles in ``arr`` intersecting ``rect``, ascending.
 
     Same closed-rectangle predicate as :meth:`Rect.intersects`; the
     ascending index order matches a scalar scan over the entry list.
     """
-    if arr.is_numpy:
-        mask = (
-            (arr.xlo <= rect.xhi)
-            & (rect.xlo <= arr.xhi)
-            & (arr.ylo <= rect.yhi)
-            & (rect.ylo <= arr.yhi)
-        )
-        return np.nonzero(mask)[0]
-    rxlo, rylo, rxhi, ryhi = rect.xlo, rect.ylo, rect.xhi, rect.yhi
-    xlo, ylo, xhi, yhi = arr.xlo, arr.ylo, arr.xhi, arr.yhi
-    return [
-        i
-        for i in range(arr.n)
-        if xlo[i] <= rxhi and rxlo <= xhi[i] and ylo[i] <= ryhi and rylo <= yhi[i]
-    ]
+    mask = (
+        (arr.xlo <= rect.xhi)
+        & (rect.xlo <= arr.xhi)
+        & (arr.ylo <= rect.yhi)
+        & (rect.ylo <= arr.yhi)
+    )
+    return np.nonzero(mask)[0]
 
 
 # --------------------------------------------------------------------- #
@@ -105,12 +98,10 @@ def mbr_of(arr: RectArray) -> Rect:
     """
     if arr.n == 0:
         raise GeometryError("mbr_of() of an empty RectArray")
-    if arr.is_numpy:
-        return Rect(
-            float(arr.xlo.min()), float(arr.ylo.min()),
-            float(arr.xhi.max()), float(arr.yhi.max()),
-        )
-    return Rect(min(arr.xlo), min(arr.ylo), max(arr.xhi), max(arr.yhi))
+    return Rect(
+        float(arr.xlo.min()), float(arr.ylo.min()),
+        float(arr.xhi.max()), float(arr.yhi.max()),
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -131,42 +122,19 @@ def least_enlargement_index(arr: RectArray, rect: Rect) -> int | None:
     """
     if arr.n == 0:
         raise GeometryError("least_enlargement_index() of an empty RectArray")
-    if arr.is_numpy:
-        width = arr.xhi - arr.xlo
-        height = arr.yhi - arr.ylo
-        area = width * height
-        uxlo = np.minimum(arr.xlo, rect.xlo)
-        uylo = np.minimum(arr.ylo, rect.ylo)
-        uxhi = np.maximum(arr.xhi, rect.xhi)
-        uyhi = np.maximum(arr.yhi, rect.yhi)
-        enl = (uxhi - uxlo) * (uyhi - uylo) - area
-        least = enl.min()
-        if least != least:      # min() propagates NaN
-            return None
-        cand = np.nonzero(enl == least)[0]
-        return int(cand[np.argmin(area[cand])])
-    rxlo, rylo, rxhi, ryhi = rect.xlo, rect.ylo, rect.xhi, rect.yhi
-    best_idx = 0
-    best_enl = best_area = None
-    for i, (x0, y0, x1, y1) in enumerate(
-        zip(arr.xlo, arr.ylo, arr.xhi, arr.yhi)
-    ):
-        a = (x1 - x0) * (y1 - y0)
-        uxlo = x0 if x0 <= rxlo else rxlo
-        uylo = y0 if y0 <= rylo else rylo
-        uxhi = x1 if x1 >= rxhi else rxhi
-        uyhi = y1 if y1 >= ryhi else ryhi
-        enl = (uxhi - uxlo) * (uyhi - uylo) - a
-        if best_enl is None or enl < best_enl:
-            best_idx, best_enl, best_area = i, enl, a
-        elif enl == best_enl:
-            if a < best_area:
-                best_idx, best_area = i, a
-        elif enl != enl:
-            return None
-    if best_enl != best_enl:    # the first row was NaN
+    width = arr.xhi - arr.xlo
+    height = arr.yhi - arr.ylo
+    area = width * height
+    uxlo = np.minimum(arr.xlo, rect.xlo)
+    uylo = np.minimum(arr.ylo, rect.ylo)
+    uxhi = np.maximum(arr.xhi, rect.xhi)
+    uyhi = np.maximum(arr.yhi, rect.yhi)
+    enl = (uxhi - uxlo) * (uyhi - uylo) - area
+    least = enl.min()
+    if least != least:      # min() propagates NaN
         return None
-    return best_idx
+    cand = np.nonzero(enl == least)[0]
+    return int(cand[np.argmin(area[cand])])
 
 
 # --------------------------------------------------------------------- #
@@ -188,34 +156,18 @@ def min_center_distance_index(arr: RectArray, rect: Rect) -> int | None:
         raise GeometryError("min_center_distance_index() of an empty RectArray")
     rsx = rect.xlo + rect.xhi
     rsy = rect.ylo + rect.yhi
-    if arr.is_numpy:
-        dx = (arr.xlo + arr.xhi) - rsx
-        dy = (arr.ylo + arr.yhi) - rsy
-        dist = (dx * dx + dy * dy) / 4.0
-        best = int(np.argmin(dist))
-        if dist[best] != dist[best]:    # argmin stops at the first NaN
-            return None
-        return best
-    best_idx = 0
-    best = None
-    xlo, ylo, xhi, yhi = arr.xlo, arr.ylo, arr.xhi, arr.yhi
-    for i in range(arr.n):
-        dx = (xlo[i] + xhi[i]) - rsx
-        dy = (ylo[i] + yhi[i]) - rsy
-        d = (dx * dx + dy * dy) / 4.0
-        if d != d:
-            return None
-        if best is None or d < best:
-            best_idx, best = i, d
-    return best_idx
+    dx = (arr.xlo + arr.xhi) - rsx
+    dy = (arr.ylo + arr.yhi) - rsy
+    dist = (dx * dx + dy * dy) / 4.0
+    best = int(np.argmin(dist))
+    if dist[best] != dist[best]:    # argmin stops at the first NaN
+        return None
+    return best
 
 
 def all_points(arr: RectArray) -> bool:
     """Whether every rectangle is degenerate (a single point)."""
-    if arr.is_numpy:
-        return bool(np.all((arr.xlo == arr.xhi) & (arr.ylo == arr.yhi)))
-    xlo, ylo, xhi, yhi = arr.xlo, arr.ylo, arr.xhi, arr.yhi
-    return all(xlo[i] == xhi[i] and ylo[i] == yhi[i] for i in range(arr.n))
+    return bool(np.all((arr.xlo == arr.xhi) & (arr.ylo == arr.yhi)))
 
 
 # --------------------------------------------------------------------- #
@@ -236,35 +188,6 @@ def sweep_pairs_batch(
     """
     if arr_a.n == 0 or arr_b.n == 0:
         return []
-    if arr_a.is_numpy or arr_b.is_numpy:
-        # Mixed representations: promote the list side (exact doubles
-        # either way, and the numpy side implies a large operand).
-        return _sweep_numpy(_as_numpy(arr_a), _as_numpy(arr_b), counters)
-    return _sweep_python(arr_a, arr_b, counters)
-
-
-def _as_numpy(arr: RectArray) -> RectArray:
-    if arr.is_numpy:
-        return arr
-    return RectArray(
-        np.asarray(arr.xlo, dtype=np.float64),
-        np.asarray(arr.ylo, dtype=np.float64),
-        np.asarray(arr.xhi, dtype=np.float64),
-        np.asarray(arr.yhi, dtype=np.float64),
-        is_numpy=True,
-    )
-
-
-def _segment_offsets(reps: Any) -> Any:
-    """``[0..reps[0]-1, 0..reps[1]-1, ...]`` as one flat array."""
-    total = int(reps.sum())
-    starts = np.cumsum(reps) - reps
-    return np.arange(total) - np.repeat(starts, reps)
-
-
-def _sweep_numpy(
-    arr_a: RectArray, arr_b: RectArray, counters: Any | None
-) -> list[tuple[int, int]]:
     na, nb = arr_a.n, arr_b.n
     order_a = np.argsort(arr_a.xlo, kind="stable")
     order_b = np.argsort(arr_b.xlo, kind="stable")
@@ -342,50 +265,11 @@ def _sweep_numpy(
     return list(zip(out_a.tolist(), out_b.tolist()))
 
 
-def _sweep_python(
-    arr_a: RectArray, arr_b: RectArray, counters: Any | None
-) -> list[tuple[int, int]]:
-    na, nb = arr_a.n, arr_b.n
-    axlo, axhi, aylo, ayhi = arr_a.xlo, arr_a.xhi, arr_a.ylo, arr_a.yhi
-    bxlo, bxhi, bylo, byhi = arr_b.xlo, arr_b.xhi, arr_b.ylo, arr_b.yhi
-    order_a = sorted(range(na), key=axlo.__getitem__)
-    order_b = sorted(range(nb), key=bxlo.__getitem__)
-
-    out: list[tuple[int, int]] = []
-    xy = 0
-    i = j = 0
-    while i < na and j < nb:
-        ia = order_a[i]
-        jb = order_b[j]
-        if axlo[ia] <= bxlo[jb]:
-            xhi, ylo, yhi = axhi[ia], aylo[ia], ayhi[ia]
-            k = j
-            while k < nb:
-                kb = order_b[k]
-                xy += 1
-                if bxlo[kb] > xhi:
-                    break
-                xy += 1
-                if ylo <= byhi[kb] and bylo[kb] <= yhi:
-                    out.append((ia, kb))
-                k += 1
-            i += 1
-        else:
-            xhi, ylo, yhi = bxhi[jb], bylo[jb], byhi[jb]
-            k = i
-            while k < na:
-                ka = order_a[k]
-                xy += 1
-                if axlo[ka] > xhi:
-                    break
-                xy += 1
-                if ylo <= ayhi[ka] and aylo[ka] <= yhi:
-                    out.append((ka, jb))
-                k += 1
-            j += 1
-    if counters is not None:
-        counters.xy_tests += xy
-    return out
+def _segment_offsets(reps: Any) -> Any:
+    """``[0..reps[0]-1, 0..reps[1]-1, ...]`` as one flat array."""
+    total = int(reps.sum())
+    starts = np.cumsum(reps) - reps
+    return np.arange(total) - np.repeat(starts, reps)
 
 
 # --------------------------------------------------------------------- #
@@ -403,30 +287,30 @@ _TRIU_CACHE: dict = {}
 
 
 def quadratic_split_indices(
-    arr: RectArray, min_fill: int
+    xlo: list[float],
+    ylo: list[float],
+    xhi: list[float],
+    yhi: list[float],
+    min_fill: int,
 ) -> tuple[list[int], list[int]] | None:
-    """Guttman quadratic split as two index groups over ``arr``.
+    """Guttman quadratic split of one node's entries as two index groups.
 
+    The entries are given as four coordinate lists, one row per entry.
     Bit-identical twin of the scalar ``rtree.split.quadratic_split``:
     the same seeds (first pair maximising the wasted area, in the
     scalar's row-major scan order), the same PickNext choices and group
     assignments under the same tie-break chain, the same early
     absorption into an under-filled group. PickSeeds is the O(n²) part
     and runs on numpy when the node is big enough to pay; the PickNext
-    loop runs on the list columns with the scalar expression trees
-    inlined.
+    loop runs on the lists with the scalar expression trees inlined.
 
     Returns ``None`` — caller falls back to the scalar path — when the
     pair matrix contains NaN (coordinate overflow), where numpy's
     argmax and the scalar strict-``>`` scan disagree.
     """
-    n = arr.n
+    n = len(xlo)
     if n < 2:
         return None
-    xlo, ylo, xhi, yhi = arr.xlo, arr.ylo, arr.xhi, arr.yhi
-    if arr.is_numpy:
-        xlo, ylo = xlo.tolist(), ylo.tolist()
-        xhi, yhi = xhi.tolist(), yhi.tolist()
     areas = [(xhi[k] - xlo[k]) * (yhi[k] - ylo[k]) for k in range(n)]
 
     # --- PickSeeds: maximise d = area(union) - area(e1) - area(e2) ----- #

@@ -1,7 +1,7 @@
 """Persistent worker pools over shared-memory datasets.
 
 The process machinery behind ``spatial_join(..., workers=N)``'s pooled
-mode: :mod:`shm` shares int64 columns, :mod:`dataset` publishes join
+mode: :mod:`shm` shares numpy columns, :mod:`dataset` publishes join
 inputs (coordinate/oid columns plus per-grid CSR shard indexes) and
 caches them across joins, :mod:`worker` runs tile joins against warm
 per-tile substrates inside long-lived worker processes, and :mod:`pool`
@@ -27,7 +27,7 @@ from .pool import (
     resolve_start_method,
     shutdown_default_pools,
 )
-from .shm import SharedInts, SharedIntsDescriptor
+from .shm import SegmentDescriptor, SharedRectArray, SharedSegment
 from .worker import TileJob, TileRunner, worker_main
 
 __all__ = [
@@ -36,8 +36,9 @@ __all__ = [
     "DatasetDescriptor",
     "GridIndexDescriptor",
     "PublishedDataset",
-    "SharedInts",
-    "SharedIntsDescriptor",
+    "SegmentDescriptor",
+    "SharedRectArray",
+    "SharedSegment",
     "TileJob",
     "TileRunner",
     "WorkerPool",

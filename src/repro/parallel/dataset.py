@@ -2,10 +2,11 @@
 
 The persistent worker pool's whole premium is that a dataset's
 rectangles cross the process boundary **once**, not once per join per
-tile. The parent *publishes* a dataset — four coordinate columns and an
-oid column per side, each a shared-memory segment — and thereafter
-ships only :class:`~repro.partition.shard.ShardDescriptor`-derived tile
-jobs (a tile index plus a dataset key). Workers *attach* to the
+tile. The parent *publishes* a dataset — per side, its coordinates as
+one float64 ``(4, n)`` segment and its oids as one int64 segment — and
+thereafter ships only
+:class:`~repro.partition.shard.ShardDescriptor`-derived tile jobs (a
+tile index plus a dataset key). Workers *attach* to the
 published segments read-only and reconstruct any tile's entry list
 locally from the shared CSR shard index.
 
@@ -29,10 +30,11 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from ..analysis.witness import witnessed_lock
 from ..errors import ParallelError, StaleDatasetError
 from ..geometry import Rect
-from ..kernels.rect_array import SharedRectArray, SharedRectDescriptor
 from ..partition import GridPartitioner, joint_universe
 from ..partition.shard import (
     ShardDescriptor,
@@ -40,7 +42,7 @@ from ..partition.shard import (
     shard_index_csr,
 )
 from ..storage.datafile import DataEntry
-from .shm import SharedInts, SharedIntsDescriptor
+from .shm import SegmentDescriptor, SharedRectArray, SharedSegment
 
 __all__ = [
     "AttachedDataset",
@@ -84,10 +86,10 @@ class DatasetDescriptor:
     version: int
     n_r: int
     n_s: int
-    rects_r: SharedRectDescriptor
-    oids_r: SharedIntsDescriptor
-    rects_s: SharedRectDescriptor
-    oids_s: SharedIntsDescriptor
+    rects_r: SegmentDescriptor
+    oids_r: SegmentDescriptor
+    rects_s: SegmentDescriptor
+    oids_s: SegmentDescriptor
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,8 @@ class GridIndexDescriptor:
     cols: int
     universe: tuple[float, float, float, float]
     num_tiles: int
-    csr_r: SharedIntsDescriptor
-    csr_s: SharedIntsDescriptor
+    csr_r: SegmentDescriptor
+    csr_s: SegmentDescriptor
 
 
 class PublishedDataset:
@@ -132,8 +134,10 @@ class PublishedDataset:
         self.rects_r = SharedRectArray.create(entries_r)
         self.rects_s = SharedRectArray.create(entries_s)
         try:
-            self.oids_r = SharedInts.create([oid for _r, oid in entries_r])
-            self.oids_s = SharedInts.create([oid for _r, oid in entries_s])
+            self.oids_r = SharedSegment.create(
+                [oid for _r, oid in entries_r], np.int64)
+            self.oids_s = SharedSegment.create(
+                [oid for _r, oid in entries_s], np.int64)
         except ParallelError:
             self.unlink()
             raise
@@ -177,11 +181,11 @@ class PublishedDataset:
                 partitioner, self.entries_r, self.entries_s
             )
             num_tiles = len(partitioner.tiles)
-            csr_r = SharedInts.create(
-                shard_index_csr(descriptors, num_tiles, "r")
+            csr_r = SharedSegment.create(
+                shard_index_csr(descriptors, num_tiles, "r"), np.int64
             )
-            csr_s = SharedInts.create(
-                shard_index_csr(descriptors, num_tiles, "s")
+            csr_s = SharedSegment.create(
+                shard_index_csr(descriptors, num_tiles, "s"), np.int64
             )
             grid_descriptor = GridIndexDescriptor(
                 rows=partitioner.rows,
@@ -234,27 +238,29 @@ class AttachedDataset:
         self.version = descriptor.version
         try:
             self.rects_r = SharedRectArray.attach(descriptor.rects_r)
-            self.oids_r = SharedInts.attach(descriptor.oids_r)
+            self.oids_r = SharedSegment.attach(descriptor.oids_r)
             self.rects_s = SharedRectArray.attach(descriptor.rects_s)
-            self.oids_s = SharedInts.attach(descriptor.oids_s)
+            self.oids_s = SharedSegment.attach(descriptor.oids_s)
         except FileNotFoundError as exc:
             self.close()
             raise StaleDatasetError(
                 f"dataset {descriptor.key!r} v{descriptor.version} segment "
                 f"vanished before attach: {exc}"
             ) from exc
-        self._csr: dict[tuple[int, int], tuple[SharedInts, SharedInts]] = {}
+        self._csr: dict[
+            tuple[int, int], tuple[SharedSegment, SharedSegment]
+        ] = {}
 
     def _csr_for(
         self, grid: GridIndexDescriptor
-    ) -> tuple[SharedInts, SharedInts]:
+    ) -> tuple[SharedSegment, SharedSegment]:
         shape = (grid.rows, grid.cols)
         cached = self._csr.get(shape)
         if cached is None:
             try:
                 cached = (
-                    SharedInts.attach(grid.csr_r),
-                    SharedInts.attach(grid.csr_s),
+                    SharedSegment.attach(grid.csr_r),
+                    SharedSegment.attach(grid.csr_s),
                 )
             except FileNotFoundError as exc:
                 raise StaleDatasetError(
@@ -284,8 +290,8 @@ class AttachedDataset:
 
     @staticmethod
     def _side_entries(
-        csr: SharedInts, num_tiles: int, tile: int,
-        rects: SharedRectArray, oids: SharedInts,
+        csr: SharedSegment, num_tiles: int, tile: int,
+        rects: SharedRectArray, oids: SharedSegment,
     ) -> list[DataEntry]:
         flat = csr.values
         base = num_tiles + 1

@@ -19,7 +19,7 @@ from typing import Callable
 
 from ..errors import TreeError
 from ..geometry import union_all
-from ..kernels import RectArray, kernels_enabled, quadratic_split_indices
+from ..kernels import kernels_enabled, quadratic_split_indices
 from ..metrics import MetricsCollector
 from .node import Entry
 
@@ -58,8 +58,10 @@ def quadratic_split(
         # Column-batch twin of the loops below: same seeds, same
         # assignments, same tie-breaks (None means the input triggered
         # a scalar-only corner such as NaN waste, so fall through).
+        mbrs = [e.mbr for e in entries]
         groups = quadratic_split_indices(
-            RectArray.from_entries(entries), min_fill
+            [r.xlo for r in mbrs], [r.ylo for r in mbrs],
+            [r.xhi for r in mbrs], [r.yhi for r in mbrs], min_fill,
         )
         if groups is not None:
             if metrics is not None:

@@ -40,12 +40,12 @@ it is freed by reference counting when the build returns, except what
 STJ keeps as its warm recording.
 
 Where it runs: wherever construction replay may
-(:func:`~repro.seeded.replay.log_first`), sanitized joins included,
-and for the workspace's own ``T_R`` at set-up
+(:func:`~repro.seeded.replay.log_first`), sanitized and traced joins
+included, and for the workspace's own ``T_R`` at set-up
 (:meth:`~repro.workspace.Workspace.install_rtree`) on the fast path
 over a disk with no injector or deadline. Recovery, fault injection,
-deadlines, tracing and ``REPRO_KERNELS=0`` keep the per-object build,
-which stays the oracle.
+deadlines and ``REPRO_KERNELS=0`` keep the per-object build, which
+stays the oracle.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Any, Iterable
 
 from ..geometry import Rect
 from ..join.batch import carry_column_tree
-from ..kernels import RectArray, quadratic_split_indices
+from ..kernels import quadratic_split_indices
 from ..kernels.node_store import ColumnTree
 from ..rtree.node import Entry
 from ..rtree.rtree import RTree
@@ -268,10 +268,9 @@ class _Build:
         groups = None
         if self.split is quadratic_split and self.fast:
             # What quadratic_split runs on the fast path, handed the
-            # node's own columns instead of columns packed from Entry
-            # objects; None (a NaN corner) takes the general route.
-            groups = quadratic_split_indices(
-                RectArray(xlo, ylo, xhi, yhi, is_numpy=False), min_fill)
+            # node's own coordinate lists where that reads them off
+            # Entry MBRs; None (a NaN corner) takes the general route.
+            groups = quadratic_split_indices(xlo, ylo, xhi, yhi, min_fill)
             if groups is not None and self.charge is not None:
                 self.charge.bbox += len(ref)
         if groups is None:

@@ -65,10 +65,6 @@ class SlotList:
     def resident_pages(self) -> int:
         return len(self.pages)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.total_entries == 0
-
 
 class LinkedListManager:
     """Per-slot linked lists with batched sequential flushing."""

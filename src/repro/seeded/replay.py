@@ -41,11 +41,11 @@ the batch plans, and go with it when that tree's version stamp moves.
 Eligibility (:func:`log_first`) is conservative: the builder and the
 cache only engage when the join runs the fast path (not under
 ``REPRO_KERNELS=0``) and when the run is plain — no recovery policy, no
-trace, no fault injector, no deadline. Everything else takes the
-per-object build unchanged. The sanitizer does not stand them down: it
-checks at phase boundaries only, so it observes a log-first build, a
-replay and their carried snapshots exactly as it observes a per-object
-build.
+fault injector, no deadline. Everything else takes the per-object build
+unchanged. Neither the sanitizer nor tracing stands them down: both act
+at phase boundaries only (checks, and spans that snapshot the phase's
+counters), so they observe a log-first build, a replay and their
+carried snapshots exactly as they observe a per-object build.
 """
 
 from __future__ import annotations
@@ -128,14 +128,14 @@ def log_first(ctx: Any) -> bool:
     """Whether this join's construction may run off the buffer.
 
     True on the fast path of a plain run over a data file, with the
-    seeding tree in the join's buffer: no recovery, trace, fault
-    injector or deadline, because each of those observes or interrupts
-    the build between accounted operations. The sanitizer checks only
-    at phase boundaries, so a sanitized join may build log-first.
+    seeding tree in the join's buffer: no recovery, fault injector or
+    deadline, because each of those interrupts the build between
+    accounted operations. The sanitizer and tracing act only at phase
+    boundaries, so a sanitized or traced join may build log-first.
     """
     if not ctx.mode.fast:
         return False
-    if ctx.recovery is not None or ctx.trace is not None:
+    if ctx.recovery is not None:
         return False
     if ctx.tree_r is None or not isinstance(ctx.data_s, DataFile):
         return False

@@ -354,8 +354,12 @@ def test_rpr008_fires_on_column_subscript_store():
 
 def test_rpr008_fires_on_values_store():
     snippet = """
-        def renumber(shared, i, oid):
-            shared.values[i] = oid
+        def renumber(descriptor, i, oid):
+            segment = SharedSegment.attach(descriptor)
+            try:
+                segment.values[i] = oid
+            finally:
+                segment.close()
     """
     assert codes_for(snippet) == ["RPR008"]
 
@@ -392,9 +396,12 @@ def test_rpr008_silent_on_writeable_clear():
 
 
 def test_rpr008_exempts_owning_modules_and_tests():
-    assert codes_for(BAD_COLUMN_WRITE, "src/repro/kernels/rect_array.py") == []
     assert codes_for(BAD_COLUMN_WRITE, "src/repro/parallel/shm.py") == []
     assert codes_for(BAD_COLUMN_WRITE, "tests/parallel/test_pool.py") == []
+    # RectArray creates no segment, so its module is not an owner.
+    assert codes_for(
+        BAD_COLUMN_WRITE, "src/repro/kernels/rect_array.py"
+    ) == ["RPR008"]
 
 
 # --------------------------------------------------------------------- #
@@ -626,6 +633,17 @@ def test_rpr010_fires_on_created_segment_without_unlink():
     assert codes_for(
         BAD_SEGMENT_LEAK, "src/repro/parallel/example.py"
     ) == ["RPR010"]
+    snippet = """
+        import numpy as np
+        from repro.parallel.shm import SharedSegment
+
+        def total(oids):
+            seg = SharedSegment.create(oids, np.int64)
+            value = int(seg.values.sum())
+            seg.close()
+            return value
+    """
+    assert codes_for(snippet, "src/repro/parallel/example.py") == ["RPR010"]
 
 
 def test_rpr010_silent_on_full_lifecycle():
@@ -655,6 +673,15 @@ def test_rpr010_fires_on_attacher_unlink():
             seg.unlink()
     """
     assert "RPR010" in codes_for(snippet, "src/repro/parallel/example.py")
+    snippet = """
+        from repro.parallel.shm import SharedSegment
+
+        def teardown(descriptor):
+            seg = SharedSegment.attach(descriptor)
+            seg.close()
+            seg.unlink()
+    """
+    assert "RPR010" in codes_for(snippet, "src/repro/parallel/example.py")
 
 
 def test_rpr010_escape_transfers_the_obligation():
@@ -663,6 +690,15 @@ def test_rpr010_escape_transfers_the_obligation():
 
         def build(nbytes, registry):
             seg = SharedMemory(create=True, size=nbytes)
+            registry.adopt(seg)
+    """
+    assert codes_for(snippet, "src/repro/parallel/example.py") == []
+    snippet = """
+        import numpy as np
+        from repro.parallel.shm import SharedSegment
+
+        def publish(oids, registry):
+            seg = SharedSegment.create(oids, np.int64)
             registry.adopt(seg)
     """
     assert codes_for(snippet, "src/repro/parallel/example.py") == []

@@ -4,10 +4,10 @@ floats.
 ``quadratic_split_indices`` (the per-object split and the log-first
 builder), ``intersect_indices`` (NAIVE's fast path) and ZJOIN's
 ``batch_merge`` are drawn coordinates at ±0.0, subnormals, ±1e308, the
-float limit and ±inf, with exact ties common, on both column
-representations and on both sides of the size thresholds
-(``NUMPY_MIN_N``, and the split's numpy PickSeeds at 16 rows). Areas,
-enlargements and wasted areas then overflow to ±inf or NaN. Each kernel
+float limit and ±inf, with exact ties common, at row counts on both
+sides of the split's numpy PickSeeds threshold (``_SEEDS_NUMPY_MIN``,
+16 rows). Areas, enlargements and wasted areas then overflow to ±inf or
+NaN. Each kernel
 either declines (``None``, so its caller runs the scalar loop) or
 equals its scalar twin exactly. ``clipped_area_total`` (the workload
 generator's cluster areas) is drawn centers and sizes from the same
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.errors import GeometryError
 from repro.geometry import Rect
 from repro.kernels import (
-    NUMPY_MIN_N,
     RectArray,
     clipped_area_total,
     intersect_indices,
@@ -39,7 +38,6 @@ from repro.rtree.split import check_split, quadratic_split
 
 from ..zorder.test_zmerge import assert_merges_agree
 
-BACKENDS = ("numpy", "python")
 INF = float("inf")
 MAX = sys.float_info.max
 
@@ -57,11 +55,10 @@ value = st.one_of(
     st.integers(min_value=0, max_value=8).map(lambda v: v / 8.0),
 )
 
-#: Row counts on both sides of each threshold.
+#: Row counts on both sides of the PickSeeds threshold.
 SIZES = st.one_of(
     st.integers(2, _SEEDS_NUMPY_MIN - 1),
-    st.integers(_SEEDS_NUMPY_MIN, NUMPY_MIN_N - 1),
-    st.integers(NUMPY_MIN_N, NUMPY_MIN_N + 12),
+    st.integers(_SEEDS_NUMPY_MIN, 76),
 )
 
 
@@ -103,10 +100,10 @@ def test_quadratic_split_kernel_declines_or_agrees(case):
     rects, min_fill = case
     entries = [Entry(r, i) for i, r in enumerate(rects)]
     want = _refs(quadratic_split(entries, min_fill, fast=False))
-    for backend in BACKENDS:
-        got = quadratic_split_indices(
-            RectArray.from_rects(rects, backend=backend), min_fill)
-        assert got is None or (list(got[0]), list(got[1])) == want
+    got = quadratic_split_indices(
+        [r.xlo for r in rects], [r.ylo for r in rects],
+        [r.xhi for r in rects], [r.yhi for r in rects], min_fill)
+    assert got is None or (list(got[0]), list(got[1])) == want
     fast = quadratic_split(entries, min_fill, fast=True)
     assert _refs(fast) == want
     check_split(entries, fast, min_fill)
@@ -116,10 +113,8 @@ def test_quadratic_split_kernel_declines_or_agrees(case):
 @given(rects=box_lists(), probe=boxes())
 def test_intersect_indices_agrees(rects, probe):
     want = [i for i, r in enumerate(rects) if r.intersects(probe)]
-    for backend in BACKENDS:
-        got = intersect_indices(RectArray.from_rects(rects, backend=backend),
-                                probe)
-        assert [int(i) for i in got] == want
+    got = intersect_indices(RectArray.from_rects(rects), probe)
+    assert [int(i) for i in got] == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,18 +1,21 @@
-"""Lifecycle tests for the shared-memory rectangle and int columns.
+"""Lifecycle tests for shared-memory segments and the rect view over them.
 
-The ownership contract under test (see ``repro.kernels.rect_array``):
-the creating process owns a segment and alone may unlink it; attachers
-map read-only views and only ever close. The scenarios here are the
-ones that leak in practice — a child that exits normally, a child that
-is SIGKILLed mid-attachment, and an owner interrupted by
-``KeyboardInterrupt`` — each asserting that no ``/dev/shm`` segment
-survives the owner. A Hypothesis sweep pins value parity between the
-shared view and the plain in-process :class:`RectArray` on both
-backends.
+The ownership contract under test (see ``repro.parallel.shm``): the
+creating process owns a segment and alone may unlink it; attachers map
+read-only views and only ever close. One parametrized test runs that
+contract on both segment shapes the pool publishes — a float64
+``(4, n)`` block of rectangle coordinates and an int64 ``(n,)`` vector
+of oids or CSR index entries. The scenarios that leak in practice — a
+child that exits normally, a child that is SIGKILLed mid-attachment,
+and an owner interrupted by ``KeyboardInterrupt`` — each assert that no
+``/dev/shm`` segment survives the owner. A Hypothesis sweep pins value
+parity between the shared view and the plain in-process
+:class:`RectArray`.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -20,21 +23,15 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GeometryError, ParallelError
+from repro.errors import ParallelError
 from repro.geometry import Rect
-from repro.kernels.rect_array import (
-    RectArray,
-    SharedRectArray,
-    SharedRectBuffer,
-    _attach_untracked,
-)
-from repro.parallel.shm import SharedInts, SharedIntsDescriptor
-
-BACKENDS = ("python", "numpy")
+from repro.kernels.rect_array import RectArray
+from repro.parallel.shm import SharedRectArray, SharedSegment, _attach_untracked
 
 
 def _segment_exists(name: str) -> bool:
@@ -44,6 +41,10 @@ def _segment_exists(name: str) -> bool:
         return False
     shm.close()
     return True
+
+
+def _shm_names() -> set[str]:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
 
 def _rects(n: int, base: float = 0.0) -> list[Rect]:
@@ -64,49 +65,69 @@ def _columns_equal(a: RectArray, b: RectArray) -> bool:
 
 
 # --------------------------------------------------------------------- #
-# In-process lifecycle
+# The segment contract, on both published shapes
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_create_attach_roundtrip(backend):
-    entries = _entries(17)
-    shared = SharedRectArray.create(entries, backend=backend)
-    try:
-        local = RectArray.from_rects([r for r, _ in entries], backend=backend)
-        assert _columns_equal(shared, local)
-        attached = SharedRectArray.attach(shared.descriptor, backend=backend)
-        try:
-            assert _columns_equal(attached, local)
-            assert not attached.buffer.owner
-        finally:
-            attached.close()
-    finally:
-        shared.unlink()
-    assert shared.descriptor.name is None or not _segment_exists(
-        shared.descriptor.name
-    )
+def _values(dtype: str, n: int) -> np.ndarray:
+    """Arbitrary bit patterns: every float64 (NaN payloads, signed
+    zeros, subnormals, infinities included) or every int64."""
+    rng = np.random.default_rng(n)
+    if dtype == "float64":
+        bits = rng.integers(-(2**63), 2**63 - 1, size=(4, n), dtype=np.int64)
+        return bits.view(np.float64)
+    return rng.integers(-(2**63), 2**63 - 1, size=n, dtype=np.int64)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_attached_columns_are_read_only(backend):
-    shared = SharedRectArray.create(_entries(8), backend=backend)
+@pytest.mark.parametrize("n", (0, 1, 20_000))
+@pytest.mark.parametrize("dtype", ("float64", "int64"))
+def test_shared_segment_lifecycle(dtype, n):
+    values = _values(dtype, n)
+    before = _shm_names()
+    owner = SharedSegment.create(values, dtype)
+    name = owner.name
+    assert (name is None) == (n == 0)   # an empty array needs no segment
+    attached = SharedSegment.attach(owner.descriptor)
     try:
-        attached = SharedRectArray.attach(shared.descriptor, backend=backend)
-        try:
-            with pytest.raises((ValueError, TypeError)):
-                attached.xlo[0] = 99.0
-        finally:
-            attached.close()
+        for segment in (owner, attached):
+            view = segment.values
+            # Bit-identical round trip, owner -> descriptor -> attacher.
+            assert view.dtype == values.dtype and view.shape == values.shape
+            assert view.tobytes() == values.tobytes()
+            # Read-only in every process, the owner included.
+            with pytest.raises(ValueError):
+                view[...] = 0
+        assert not attached.owner
+        with pytest.raises(ParallelError):
+            attached.unlink()
     finally:
-        shared.unlink()
+        attached.close()
+    owner.unlink()
+    assert name is None or not _segment_exists(name)
+
+    # An abandoned owner is unlinked when it is garbage-collected.
+    abandoned = SharedSegment.create(values, dtype)
+    name = abandoned.name
+    del abandoned
+    gc.collect()
+    assert name is None or not _segment_exists(name)
+
+    if dtype == "int64":
+        with pytest.raises(ParallelError):
+            SharedSegment.create(values.tolist() + [2**63], dtype)
+    assert _shm_names() <= before
+
+
+# --------------------------------------------------------------------- #
+# The rect view: in-process lifecycle
+# --------------------------------------------------------------------- #
 
 
 def test_empty_array_allocates_no_segment():
     shared = SharedRectArray.create([])
     assert shared.descriptor.name is None
     attached = SharedRectArray.attach(shared.descriptor)
-    assert len(attached) == 0
+    assert len(attached) == 0 and attached.xlo.shape == (0,)
     attached.close()
     shared.unlink()  # no-op, must not raise
 
@@ -115,9 +136,10 @@ def test_only_owner_may_unlink():
     shared = SharedRectArray.create(_entries(4))
     try:
         attached = SharedRectArray.attach(shared.descriptor)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ParallelError):
             attached.unlink()
         attached.close()
+        assert _segment_exists(shared.descriptor.name)
     finally:
         shared.unlink()
 
@@ -139,18 +161,6 @@ def test_context_manager_unlinks_on_keyboard_interrupt():
             name = shared.descriptor.name
             assert _segment_exists(name)
             raise KeyboardInterrupt
-    assert not _segment_exists(name)
-
-
-def test_finalizer_unlinks_abandoned_owner():
-    buffer = SharedRectBuffer.create([0.0, 1.0], [0.0, 1.0],
-                                     [2.0, 3.0], [2.0, 3.0])
-    name = buffer.name
-    assert _segment_exists(name)
-    del buffer
-    import gc
-
-    gc.collect()
     assert not _segment_exists(name)
 
 
@@ -232,7 +242,7 @@ def test_interrupted_owner_process_leaks_nothing():
     the ``weakref.finalize`` backstop runs at interpreter shutdown."""
     script = textwrap.dedent("""
         from repro.geometry import Rect
-        from repro.kernels.rect_array import SharedRectArray
+        from repro.parallel.shm import SharedRectArray
 
         shared = SharedRectArray.create([(Rect(0, 0, 1, 1), 1)] * 5)
         print(shared.descriptor.name, flush=True)
@@ -249,55 +259,6 @@ def test_interrupted_owner_process_leaks_nothing():
     assert name.startswith("psm_") or name, proc.stderr
     assert proc.returncode != 0  # the interrupt did terminate it
     assert not _segment_exists(name)
-
-
-# --------------------------------------------------------------------- #
-# SharedInts
-# --------------------------------------------------------------------- #
-
-
-def test_shared_ints_roundtrip():
-    values = [0, -1, 2**40, -(2**40), 7]
-    shared = SharedInts.create(values)
-    try:
-        assert [int(v) for v in shared.values] == values
-        attached = SharedInts.attach(shared.descriptor)
-        try:
-            assert [int(v) for v in attached.values] == values
-        finally:
-            attached.close()
-    finally:
-        name = shared.name
-        shared.unlink()
-    assert name is None or not _segment_exists(name)
-
-
-def test_shared_ints_empty():
-    shared = SharedInts.create([])
-    assert shared.descriptor == SharedIntsDescriptor(name=None, n=0)
-    assert len(list(shared.values)) == 0
-    shared.unlink()
-
-
-def test_shared_ints_overflow_rejected_without_leak():
-    before = None
-    if os.path.isdir("/dev/shm"):
-        before = set(os.listdir("/dev/shm"))
-    with pytest.raises(ParallelError):
-        SharedInts.create([1, 2, 2**63])
-    if before is not None:
-        assert set(os.listdir("/dev/shm")) <= before
-
-
-def test_shared_ints_only_owner_unlinks():
-    shared = SharedInts.create([1, 2, 3])
-    try:
-        attached = SharedInts.attach(shared.descriptor)
-        with pytest.raises(ParallelError):
-            attached.unlink()
-        attached.close()
-    finally:
-        shared.unlink()
 
 
 # --------------------------------------------------------------------- #
@@ -322,13 +283,13 @@ def _rect_lists(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(rects=_rect_lists(), backend=st.sampled_from(BACKENDS))
-def test_shared_array_bit_identical_to_local(rects, backend):
-    local = RectArray.from_rects(rects, backend=backend)
-    shared = SharedRectArray.share(local)
+@given(rects=_rect_lists())
+def test_shared_array_bit_identical_to_local(rects):
+    local = RectArray.from_rects(rects)
+    shared = SharedRectArray.create([(r, i) for i, r in enumerate(rects)])
     try:
         assert _columns_equal(shared, local)
-        attached = SharedRectArray.attach(shared.descriptor, backend=backend)
+        attached = SharedRectArray.attach(shared.descriptor)
         try:
             assert _columnwise_bits_equal(attached, local)
         finally:

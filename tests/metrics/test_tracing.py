@@ -14,6 +14,8 @@ from repro.metrics import (
     validate_chrome_trace,
 )
 from repro.metrics.tracing import TraceSchemaError
+from repro.seeded import builder
+from repro.seeded.tree import SeededTree
 from repro.workload import ClusteredConfig, generate_clustered
 from repro.workspace import Workspace
 
@@ -145,6 +147,55 @@ class TestTracedJoins:
         assert "stj run" in text
         assert "STJ" in text and "construct" in text and "match" in text
         assert "└─" in text
+
+
+class TestTracingDoesNotSteerConstruction:
+    @pytest.mark.parametrize("method", ["STJ1-2N", "RTJ", "2STJ"])
+    def test_traced_joins_build_and_replay_as_untraced_ones(
+        self, method, monkeypatch, count_calls
+    ):
+        """Spans snapshot counters at phase boundaries, so tracing must
+        not change how a tree is built: in twin workspaces, two traced
+        joins and two untraced ones give the same pairs, CostSummary
+        and buffer hits/misses, and call the log-first builders and the
+        per-object ``grow_from`` equally often (the second STJ join
+        replays its first build on both sides)."""
+        d_r = generate_clustered(ClusteredConfig(
+            1_200, objects_per_cluster=20, seed=81,
+        ))
+        d_s = generate_clustered(ClusteredConfig(
+            500, objects_per_cluster=20, seed=82, oid_start=10**6,
+        ))
+        calls = count_calls(builder.build_seeded_tree, builder.build_rtree)
+        grow_from = SeededTree.grow_from
+
+        def counted_grow_from(*args, **kwargs):
+            calls["grow_from"] += 1
+            return grow_from(*args, **kwargs)
+
+        monkeypatch.setattr(SeededTree, "grow_from", counted_grow_from)
+
+        def run(trace):
+            ws = Workspace(CFG)
+            tree_r = ws.install_rtree(d_r)
+            file_s = ws.install_datafile(d_s)
+            joins = []
+            for _ in range(2):
+                ws.start_measurement()
+                calls.clear()
+                result = spatial_join(
+                    file_s, tree_r, ws.buffer, ws.config, ws.metrics,
+                    method=method, trace=trace,
+                )
+                assert (result.trace is not None) == trace
+                joins.append((
+                    result.pairs, ws.metrics.summary(),
+                    ws.buffer.stats.hits, ws.buffer.stats.misses,
+                    dict(calls),
+                ))
+            return joins
+
+        assert run(trace=True) == run(trace=False)
 
 
 class TestSchemaValidation:

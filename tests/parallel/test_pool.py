@@ -19,7 +19,7 @@ from repro.errors import ParallelError, StaleDatasetError, WorkerCrashError
 from repro.join import spatial_join
 from repro.parallel import (
     GridIndexDescriptor,
-    SharedIntsDescriptor,
+    SegmentDescriptor,
     TileJob,
     TileRunner,
     WorkerPool,
@@ -218,7 +218,7 @@ def test_worker_crash_raises_typed_error_and_pool_recovers():
 
 
 def test_unpublished_dataset_is_a_stale_dataset_error():
-    empty = SharedIntsDescriptor(name=None, n=0)
+    empty = SegmentDescriptor(name=None, dtype="int64", shape=(0,))
     job = TileJob(
         dataset_key="never-published", version=1,
         grid=GridIndexDescriptor(

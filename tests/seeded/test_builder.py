@@ -48,7 +48,7 @@ from repro.storage.datafile import DataPageRecord
 from repro.workspace import Workspace
 
 #: Fanout 4 (tall trees from few objects), fanout 6, and a 101-entry
-#: page that puts 70 artificial seeds in one node (NUMPY_MIN_N is 64).
+#: page that puts 70 artificial seeds in one node.
 CONFIGS = (
     SystemConfig(page_size=104, buffer_pages=16),
     SystemConfig(page_size=144, buffer_pages=24),

@@ -178,3 +178,50 @@ class TestServiceChaosSmoke:
     @pytest.mark.parametrize("seed", [11, 23])
     def test_smoke(self, seed: int):
         _chaos_run(seed, n_requests=25)
+
+
+def test_smoke_pooled_join_records_session_lock_edges(monkeypatch):
+    """One pooled service join nests the session lock over the dataset
+    cache's and the pool's: the executor thread holds ``session.lock``
+    while the join publishes its dataset and while it dispatches tiles.
+    The witness is armed before the pool, the default dataset cache and
+    the session exist, so all three locks are witnessed; the name
+    carries ``smoke`` so CI's witness-armed service leg runs it and
+    ``--check-witness`` checks these edges against the lattice."""
+    import repro.parallel.pool as pool_mod
+    from repro.analysis.witness import check_edges, observed_edges
+    from repro.parallel import DatasetCache
+
+    monkeypatch.setenv("REPRO_WITNESS", "1")
+    pools: dict = {}
+    monkeypatch.setattr(pool_mod, "_DEFAULT_POOLS", pools)
+    cache = DatasetCache()
+    monkeypatch.setattr(pool_mod, "_DEFAULT_CACHE", cache)
+    registry = WorkspaceRegistry(CONFIG)
+    registry.create("pooled", RESIDENT)
+    request = JoinRequest(
+        "pooled", random_entries(200, seed=3, oid_start=100_000),
+        workers=2, options={"parallel_guard": False},
+    )
+
+    async def main():
+        service = JoinService(registry, ServiceConfig(workers=1))
+        await service.start()
+        try:
+            return await service.submit(request)
+        finally:
+            await service.stop()
+
+    try:
+        response = asyncio.run(main())
+    finally:
+        for pool in pools.values():
+            pool.close()
+        cache.clear()
+
+    assert response.outcome is Outcome.SERVED
+    assert response.result.parallel_decision.pooled
+    assert set(response.result.pairs) == _oracle(request)
+    edges = observed_edges()
+    assert {("session", "dataset"), ("session", "pool")} <= edges
+    assert check_edges(edges) == []
